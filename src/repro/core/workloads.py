@@ -72,22 +72,18 @@ def _layer_workload(layer, index: int, config: SystolicConfig,
         m = oh * ow
         if layer.last_input is not None:
             codes = _activation_codes(layer.last_input, config.act_bits)
+            cols, __, __ = _im2col(codes, layer.kernel_size,
+                                   layer.kernel_size, layer.stride,
+                                   layer.pad)
             if isinstance(layer, Conv2d):
-                cols, __, __ = _im2col(
-                    codes.astype(np.float64), layer.kernel_size,
-                    layer.kernel_size, layer.stride, layer.pad)
-                batch = cols.shape[0]
-                acts = cols.transpose(1, 0, 2).reshape(k, -1)
+                acts = cols  # (K, N*OH*OW): one stream per patch row
             else:
                 # Depthwise: each channel convolves independently; give
                 # the stats the patch streams of the first channel group.
-                cols, __, __ = _im2col(
-                    codes.astype(np.float64), layer.kernel_size,
-                    layer.kernel_size, layer.stride, layer.pad)
                 channels = codes.shape[1]
                 kk = layer.kernel_size ** 2
-                acts = cols.reshape(cols.shape[0], channels, kk, -1)
-                acts = acts.transpose(2, 0, 1, 3).reshape(kk, -1)
+                acts = cols.reshape(channels, kk, codes.shape[0], -1)
+                acts = acts.transpose(1, 2, 0, 3).reshape(kk, -1)
             activations = acts[:, :stream_cap].astype(np.int64)
             m = activations.shape[1]
     else:  # Linear

@@ -3,8 +3,9 @@
 A compact tape-based engine: every operation returns a new
 :class:`Tensor` whose ``_backward`` closure scatters the output gradient
 into its parents.  ``backward()`` walks the tape in reverse topological
-order.  Only the operations the PowerPruning models need are provided,
-and each is covered by a numerical-gradient test.
+order and frees it as it goes.  Only the operations the PowerPruning
+models need are provided, and each is covered by a numerical-gradient
+test.
 
 Straight-through operators (:func:`ste_round`, :func:`project_ste`) are
 first-class citizens: their forward applies an arbitrary non-differentiable
@@ -52,7 +53,8 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """An array with an optional gradient and a backward closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         self.data = np.asarray(data, dtype=np.float32)
@@ -122,9 +124,16 @@ class Tensor:
 
         visit(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        # Each closure references its own output, a cycle only the cyclic
+        # GC would reclaim; cutting the tape as it is consumed lets
+        # reference counting free every intermediate as soon as the sweep
+        # passes it.
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward()
+            node._backward = None
+            node._parents = ()
 
     # ------------------------------------------------------------------
     # operator sugar
@@ -409,8 +418,14 @@ def project_ste(a: Tensor,
 # ----------------------------------------------------------------------
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
             pad: int) -> Tuple[np.ndarray, int, int]:
-    """(N, C, H, W) -> (N, C*kh*kw, OH*OW) patch matrix."""
-    n, c, h, w = x.shape
+    """(N, C, H, W) -> channel-major (C*kh*kw, N*OH*OW) patch matrix.
+
+    Row ``(c, i, j)`` holds input channel ``c`` at kernel offset
+    ``(i, j)`` for every output position ``(n, oh, ow)``, so a
+    convolution is one GEMM against the ``(O, C*kh*kw)`` weight matrix.
+    The matrix is C-contiguous and built by a single gather copy.
+    """
+    n, c = x.shape[:2]
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     oh = (x.shape[2] - kh) // stride + 1
@@ -418,32 +433,45 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw),
                                                        axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride, :, :]
-    # (N, C, OH, OW, kh, kw) -> (N, C, kh, kw, OH, OW)
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(
-        n, c * kh * kw, oh * ow
-    )
-    return np.ascontiguousarray(cols), oh, ow
+    # (N, C, OH, OW, kh, kw) -> (C, kh, kw, N, OH, OW)
+    cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3))
+    return cols.reshape(c * kh * kw, n * oh * ow), oh, ow
 
 
 def _col2im(cols: np.ndarray, x_shape: Tuple[int, ...], kh: int, kw: int,
             stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
     """Adjoint of :func:`_im2col` (scatter-add of patch gradients)."""
     n, c, h, w = x_shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    dx = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
+    dx = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    cols = cols.reshape(c, kh, kw, n, oh, ow)
     for i in range(kh):
         for j in range(kw):
             dx[:, :, i:i + stride * oh:stride,
-               j:j + stride * ow:stride] += cols[:, :, i, j]
-    if pad:
-        dx = dx[:, :, pad:-pad, pad:-pad]
-    return dx
+               j:j + stride * ow:stride] += cols[:, i, j]
+    return np.ascontiguousarray(
+        dx[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3))
+
+
+def _channel_major(a: np.ndarray) -> np.ndarray:
+    """(N, C, H, W) -> C-contiguous (C, N*H*W)."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).reshape(
+        a.shape[1], -1)
+
+
+def _batch_major(a: np.ndarray, n: int, oh: int, ow: int) -> np.ndarray:
+    """(C, N*OH*OW) -> C-contiguous (N, C, OH, OW)."""
+    return np.ascontiguousarray(
+        a.reshape(a.shape[0], n, oh, ow).transpose(1, 0, 2, 3))
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution, NCHW layout, OIHW weights."""
+    """2-D convolution, NCHW layout, OIHW weights.
+
+    Forward is one GEMM ``w_mat @ cols``; backward is two,
+    ``dout @ cols.T`` for the weights and ``w_mat.T @ dout`` for the
+    input patches.
+    """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError("conv2d expects NCHW input and OIHW weights")
     n = x.shape[0]
@@ -454,22 +482,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         )
     cols, oh, ow = _im2col(x.data, kh, kw, stride, pad)
     w_mat = weight.data.reshape(out_ch, in_ch * kh * kw)
-    out_data = np.einsum("ok,nkp->nop", w_mat, cols,
-                         optimize=True).reshape(n, out_ch, oh, ow)
+    out2 = w_mat @ cols
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, out_ch, 1, 1)
+        out2 += bias.data[:, None]
+    out_data = _batch_major(out2, n, oh, ow)
 
     def backward():
-        dout = out.grad.reshape(n, out_ch, oh * ow)
+        dout = _channel_major(out.grad)
         if weight.requires_grad:
-            dw = np.einsum("nop,nkp->ok", dout, cols, optimize=True)
-            weight._accumulate(dw.reshape(weight.shape))
+            weight._accumulate((dout @ cols.T).reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            dcols = np.einsum("ok,nop->nkp", w_mat, dout, optimize=True)
-            x._accumulate(_col2im(dcols, x.shape, kh, kw, stride, pad,
-                                  oh, ow))
+            x._accumulate(_col2im(w_mat.T @ dout, x.shape, kh, kw,
+                                  stride, pad, oh, ow))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _make(out_data, parents, backward)
@@ -481,7 +507,9 @@ def depthwise_conv2d(x: Tensor, weight: Tensor,
                      pad: int = 0) -> Tensor:
     """Depthwise convolution: one filter per input channel.
 
-    Weights have shape ``(C, 1, kh, kw)``.
+    Weights have shape ``(C, 1, kh, kw)``.  Each channel is a batched
+    ``(1, kh*kw) @ (kh*kw, N*OH*OW)`` product over the same channel-major
+    patch matrix as :func:`conv2d`.
     """
     if weight.shape[1] != 1:
         raise ValueError("depthwise weights must have shape (C, 1, kh, kw)")
@@ -491,26 +519,24 @@ def depthwise_conv2d(x: Tensor, weight: Tensor,
     n = x.shape[0]
     kh, kw = weight.shape[2], weight.shape[3]
     cols, oh, ow = _im2col(x.data, kh, kw, stride, pad)
-    # cols: (N, C*kh*kw, P) -> (N, C, kh*kw, P)
-    cols4 = cols.reshape(n, c, kh * kw, oh * ow)
-    w_mat = weight.data.reshape(c, kh * kw)
-    out_data = np.einsum("ck,nckp->ncp", w_mat, cols4,
-                         optimize=True).reshape(n, c, oh, ow)
+    cols3 = cols.reshape(c, kh * kw, n * oh * ow)
+    w_mat = weight.data.reshape(c, 1, kh * kw)
+    out2 = (w_mat @ cols3).reshape(c, -1)
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, c, 1, 1)
+        out2 += bias.data[:, None]
+    out_data = _batch_major(out2, n, oh, ow)
 
     def backward():
-        dout = out.grad.reshape(n, c, oh * ow)
+        dout = _channel_major(out.grad)[:, None, :]
         if weight.requires_grad:
-            dw = np.einsum("ncp,nckp->ck", dout, cols4, optimize=True)
+            dw = dout @ cols3.transpose(0, 2, 1)
             weight._accumulate(dw.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            dcols = np.einsum("ck,ncp->nckp", w_mat, dout, optimize=True)
-            x._accumulate(_col2im(
-                dcols.reshape(n, c * kh * kw, oh * ow),
-                x.shape, kh, kw, stride, pad, oh, ow))
+            dcols = w_mat.transpose(0, 2, 1) * dout
+            x._accumulate(_col2im(dcols, x.shape, kh, kw, stride, pad,
+                                  oh, ow))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _make(out_data, parents, backward)

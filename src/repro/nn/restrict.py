@@ -15,7 +15,13 @@ import numpy as np
 
 
 class _NearestValueProjector:
-    """Projects integer codes onto the nearest member of an allowed set."""
+    """Projects integer codes onto the nearest member of an allowed set.
+
+    The projection is a lookup table over
+    ``[min(allowed[0], -128), max(allowed[-1], 127)]``, built once; codes
+    outside it clamp to its ends, which map to the smallest and largest
+    allowed values, so the table is exact for every integer code.
+    """
 
     def __init__(self, allowed: Sequence[int], what: str) -> None:
         allowed = np.unique(np.asarray(allowed, dtype=np.int64))
@@ -23,17 +29,18 @@ class _NearestValueProjector:
             raise ValueError(f"allowed {what} set must not be empty")
         self.allowed = allowed
         self.what = what
+        self._low = min(int(allowed[0]), -128)
+        domain = np.arange(self._low, max(int(allowed[-1]), 127) + 1)
+        idx = np.clip(np.searchsorted(allowed, domain), 0, allowed.size - 1)
+        right = allowed[idx]
+        left = allowed[np.maximum(idx - 1, 0)]
+        pick_left = np.abs(domain - left) <= np.abs(right - domain)
+        self._table = np.where(pick_left, left, right)
 
     def __call__(self, codes: np.ndarray) -> np.ndarray:
         """Nearest allowed code for every input code (ties go down)."""
-        codes = np.asarray(codes)
-        allowed = self.allowed
-        idx = np.searchsorted(allowed, codes)
-        idx = np.clip(idx, 0, allowed.size - 1)
-        right = allowed[idx]
-        left = allowed[np.maximum(idx - 1, 0)]
-        pick_left = np.abs(codes - left) <= np.abs(right - codes)
-        return np.where(pick_left, left, right)
+        return np.take(self._table, np.asarray(codes) - self._low,
+                       mode="clip")
 
     def __contains__(self, code: int) -> bool:
         pos = np.searchsorted(self.allowed, code)

@@ -18,6 +18,9 @@ import numpy as np
 from repro.power.transitions import TransitionDistribution
 from repro.sim.logic import int_to_bits
 
+#: Values per slice of bit and distance matrices in fit and assign.
+CHUNK = 65536
+
 
 class PartialSumBinner:
     """Bit-similarity binning of partial-sum values.
@@ -54,7 +57,7 @@ class PartialSumBinner:
     # ------------------------------------------------------------------
     def fit(self, observed: np.ndarray,
             rng: Optional[np.random.Generator] = None,
-            chunk: int = 65536) -> "PartialSumBinner":
+            chunk: int = CHUNK) -> "PartialSumBinner":
         """Build the bins from observed partial-sum values.
 
         Follows the paper's procedure: random seeding, then a single
@@ -131,11 +134,20 @@ class PartialSumBinner:
     # use
     # ------------------------------------------------------------------
     def assign(self, values: np.ndarray) -> np.ndarray:
-        """Bin index of each value (nearest centroid in mean bit diff)."""
+        """Bin index of each value (nearest centroid in mean bit diff).
+
+        Works in :data:`CHUNK`-value slices, like :meth:`fit`, so the bit
+        and distance matrices stay bounded for long partial-sum streams.
+        """
         self._require_fit()
         values = np.asarray(values, dtype=np.int64)
-        bits = int_to_bits(values.ravel(), self.bits).astype(np.float64)
-        assigned = self._nearest_bins(bits, self._centroids)
+        flat = values.ravel()
+        assigned = np.empty(flat.size, dtype=np.intp)
+        for start in range(0, flat.size, CHUNK):
+            bits = int_to_bits(flat[start:start + CHUNK],
+                               self.bits).astype(np.float64)
+            assigned[start:start + CHUNK] = self._nearest_bins(
+                bits, self._centroids)
         return assigned.reshape(values.shape)
 
     def sample_members(self, bin_ids: np.ndarray,
