@@ -535,8 +535,9 @@ class ArtifactStore:
             key: Content-addressed artifact key.
             compute: Producer invoked on a miss.
             persist: When ``False`` the artifact stays in the memory
-                layer only — for outputs that are large but cheap and
-                deterministic to regenerate (e.g. synthetic datasets).
+                layer only — for outputs that are large, deterministic
+                and regenerated once per process by their producer's
+                own memo (e.g. synthetic datasets via ``load_dataset``).
         """
         if key in self._memory:
             self.hits += 1

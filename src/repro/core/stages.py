@@ -127,7 +127,8 @@ class Stage:
             recomputes while the rest of the graph stays cached.
         version: Bump to invalidate cached outputs after a code change.
         persist: ``False`` keeps the output in the memory layer only —
-            for artifacts that are large but cheap to regenerate.
+            for artifacts that are large and deterministic, and that a
+            process memo regenerates (e.g. the synthetic dataset).
     """
 
     name: str
@@ -231,17 +232,26 @@ class StageRunner:
     def key(self, name: str) -> str:
         return self.graph.key(name, self.ops.config)
 
-    def get(self, name: str) -> Any:
-        """The artifact of ``name``, computing missing prefixes."""
+    def get(self, name: str,
+            _memo: Optional[Dict[str, str]] = None) -> Any:
+        """The artifact of ``name``, computing missing prefixes.
+
+        One key memo is threaded through the nested ``get`` calls of a
+        single request, so each dependency's key chain is derived once
+        per request.  It is never kept across requests: the config is
+        mutable.
+        """
         stage = self.graph[name]
+        memo = _memo if _memo is not None else {}
 
         def compute() -> Any:
-            inputs = {dep: self.get(dep) for dep in stage.deps}
+            inputs = {dep: self.get(dep, memo) for dep in stage.deps}
             self.ops.log(f"stage {name}: computing")
             return stage.fn(self.ops, inputs)
 
-        return self.store.get_or_compute(self.key(name), compute,
-                                         persist=stage.persist)
+        return self.store.get_or_compute(
+            self.graph.key(name, self.ops.config, memo), compute,
+            persist=stage.persist)
 
 
 # ----------------------------------------------------------------------
@@ -252,14 +262,12 @@ class PipelineOps:
 
     Owns the configuration plus the shared hardware models (cell
     library, MAC netlist, systolic/voltage models), all resolved from
-    the config's hardware backend (see :mod:`repro.hw`) unless passed
-    explicitly, and provides the operations stages compose.  All
-    randomness is seeded from the config, so every operation is a pure
-    function of its arguments.
+    the config's hardware backend (see :mod:`repro.hw`), and provides
+    the operations stages compose.  All randomness is seeded from the
+    config, so every operation is a pure function of its arguments.
     """
 
-    def __init__(self, config: "PipelineConfig", library=None, mac=None,
-                 systolic_config=None, voltage_model=None) -> None:
+    def __init__(self, config: "PipelineConfig") -> None:
         from repro.hw import DEFAULT_BACKEND_ID, get_backend
         from repro.sim.compiled import set_process_kernel
 
@@ -272,14 +280,10 @@ class PipelineOps:
         backend = get_backend(
             getattr(config, "backend", DEFAULT_BACKEND_ID))
         self.backend = backend
-        self.library = (library if library is not None
-                        else backend.build_library())
-        self.mac = mac if mac is not None else backend.build_mac()
-        self.systolic_config = (systolic_config if systolic_config
-                                is not None
-                                else backend.build_systolic_config())
-        self.voltage_model = (voltage_model if voltage_model is not None
-                              else backend.build_voltage_model())
+        self.library = backend.build_library()
+        self.mac = backend.build_mac()
+        self.systolic_config = backend.build_systolic_config()
+        self.voltage_model = backend.build_voltage_model()
 
     def log(self, message: str) -> None:
         if self.config.verbose:
@@ -791,9 +795,10 @@ def build_power_pruning_graph() -> StageGraph:
     graph.add(Stage(
         "dataset", _stage_dataset,
         fields=("dataset", "num_classes", "n_train", "n_test"),
-        # Synthetic data is seed-deterministic and cheap to regenerate;
-        # pickling paper-scale arrays to disk would dwarf every other
-        # artifact for zero saved work.
+        # Synthetic data is seed-deterministic and generated once per
+        # process through the `load_dataset` memo, so every new store
+        # gets it almost instantly; pickling paper-scale arrays to disk
+        # would dwarf every other artifact for no saved work.
         persist=False,
     ))
     graph.add(Stage(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 from repro.data.synthetic import SyntheticImageDataset, generate
 
 
@@ -47,13 +49,26 @@ _BUILDERS = {
 }
 
 
+@functools.lru_cache(maxsize=len(_BUILDERS))
+def _build_shared(name: str, kwargs: tuple) -> SyntheticImageDataset:
+    dataset = _BUILDERS[name](**dict(kwargs))
+    for array in (dataset.x_train, dataset.y_train, dataset.x_test,
+                  dataset.y_test):
+        array.setflags(write=False)
+    return dataset
+
+
 def load_dataset(name: str, **kwargs) -> SyntheticImageDataset:
     """Build a dataset by paper name (``cifar10``/``cifar100``/
-    ``imagenet``)."""
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
+    ``imagenet``).
+
+    Generation is a pure function of ``(name, kwargs)``, so each
+    distinct request is generated once per process and the same object
+    is returned to every later caller (at most one memoized dataset per
+    registered name).  Its arrays are read-only: a caller that writes
+    in place fails loudly instead of corrupting every later user.
+    """
+    if name not in _BUILDERS:
         raise ValueError(
-            f"unknown dataset {name!r}; available: {sorted(_BUILDERS)}"
-        ) from None
-    return builder(**kwargs)
+            f"unknown dataset {name!r}; available: {sorted(_BUILDERS)}")
+    return _build_shared(name, tuple(sorted(kwargs.items())))

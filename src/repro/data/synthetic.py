@@ -18,9 +18,12 @@ import numpy as np
 from scipy import ndimage
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticImageDataset:
     """A generated train/test split of class-structured images.
+
+    Frozen: :func:`~repro.data.datasets.load_dataset` shares one
+    instance (with read-only arrays) between all callers.
 
     Attributes:
         name: Dataset name (e.g. ``"cifar10-like"``).

@@ -16,12 +16,17 @@ backends that differ in any field can never share a cached artifact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Tuple
 
 #: Styles accepted by :func:`repro.netlist.mac.build_mac_unit`.
 MULTIPLIER_STYLES: Tuple[str, ...] = ("booth", "array")
 ADDER_STYLES: Tuple[str, ...] = ("kogge_stone", "ripple")
+
+#: Distinct specs whose MAC unit stays memoized per process (the
+#: registry ships four).
+_MAC_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -121,8 +126,15 @@ class HardwareBackend:
                               self.leakage_factor,
                               name_suffix=f"-{self.backend_id}")
 
+    @functools.lru_cache(maxsize=_MAC_MEMO_SIZE)
     def build_mac(self):
-        """The backend's MAC unit (three netlist views)."""
+        """The backend's MAC unit (three netlist views), one per spec.
+
+        The frozen spec covers every builder input and nothing mutates a
+        built :class:`~repro.netlist.mac.MacUnit` (its netlists only
+        cache derived schedules and programs lazily), so every pipeline
+        context over an equal spec shares the object built first.
+        """
         from repro.netlist import build_mac_unit
 
         return build_mac_unit(
