@@ -10,7 +10,7 @@ import pytest
 
 from repro.cells import default_library
 from repro.netlist import build_mac_unit
-from repro.sim.dynamic_timing import dynamic_arrival_times
+from repro.sim.dynamic_timing import dynamic_bus_arrivals
 from repro.sim.logic import bus_inputs, evaluate
 from repro.systolic import SystolicArray
 
@@ -36,14 +36,16 @@ def test_logic_sim_throughput(benchmark):
 
 
 def test_dynamic_timing_throughput(benchmark):
-    """Arrival-time propagation through the multiplier."""
+    """Arrival-time propagation through the multiplier, product bus
+    retained."""
     rng = np.random.default_rng(1)
     before = bus_inputs("act", rng.integers(-128, 128, BATCH), 8)
     before.update(bus_inputs("w", np.full(BATCH, -105), 8))
     after = bus_inputs("act", rng.integers(-128, 128, BATCH), 8)
     after.update(bus_inputs("w", np.full(BATCH, -105), 8))
     packed = MAC.multiplier.packed()
-    benchmark(dynamic_arrival_times, packed, LIB, before, after)
+    nets = MAC.multiplier.output_bus("product", MAC.product_bits)
+    benchmark(dynamic_bus_arrivals, packed, LIB, before, after, nets)
 
 
 def test_systolic_layer_throughput(benchmark):

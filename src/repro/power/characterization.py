@@ -37,11 +37,8 @@ from repro.power.transitions import (
     TransitionDistribution,
     code_to_value,
 )
-from repro.sim.logic import bus_inputs, evaluate_words, evaluate_words_batched
-from repro.sim.switching import (
-    paired_toggle_rates_words,
-    paired_toggle_rates_words_batched,
-)
+from repro.sim.logic import bus_inputs, evaluate_words_batched
+from repro.sim.switching import paired_toggle_rates_words_batched
 
 #: Fig. 2 anchor: the most power-hungry weight value burns ~1066 µW.
 ANCHOR_MAX_POWER_UW = 1066.0
@@ -71,10 +68,9 @@ def resolve_batch_weights(batch_weights: Optional[int], n_weights: int,
     """Weights per megabatch launch under the memory budget.
 
     Args:
-        batch_weights: The knob: ``None``/``0`` sizes automatically
-            (cache-friendly launches of ~``target_bytes``), ``1``
-            disables batching (per-weight loop), ``N`` forces N-weight
-            chunks (capped by the memory budget).
+        batch_weights: ``None``/``0`` sizes automatically
+            (cache-friendly launches of ~``target_bytes``), ``N``
+            forces N-weight chunks (capped by the memory budget).
         n_weights: Total weights to characterize.
         bytes_per_weight: Dominant per-weight footprint of one launch
             (the weight's share of the packed word matrix).
@@ -108,12 +104,10 @@ def _chunk_energies(task: Tuple["WeightPowerCharacterizer",
     """Worker entry point for sharded characterization (picklable).
 
     Process sharding composes on top of weight batching: each shard
-    runs its own slice of the weight set through the one-launch megabatch
-    path (or the per-weight loop when ``batch_weights == 1``).
+    runs its own slice of the weight set through the one-launch
+    megabatch path.
     """
     characterizer, weights, seed, batch_weights = task
-    if batch_weights == 1:
-        return characterizer.dynamic_energies_fj(weights, seed)
     return characterizer.dynamic_energies_fj_batched(
         weights, seed, batch_weights=batch_weights)
 
@@ -260,8 +254,8 @@ class WeightPowerCharacterizer:
         """One weight's ``(acts, psums)`` stimulus, stacked before/after.
 
         Draw order (activations first, then partial sums) is part of
-        the bit-for-bit contract: every path — per-weight, batched,
-        sharded — consumes the weight's child generator identically.
+        the bit-for-bit contract: every chunking and sharding consumes
+        the weight's child generator identically.
         """
         n = self.n_samples
         code_from, code_to = self.act_transitions.sample(n, rng)
@@ -270,79 +264,33 @@ class WeightPowerCharacterizer:
         psum_from, psum_to = self.psum_transitions.sample_values(n, rng)
         return acts, np.concatenate([psum_from, psum_to])
 
-    def _dynamic_energy_fj(self, weight: int, rng: np.random.Generator
-                           ) -> float:
-        """Mean switching energy per cycle for one frozen weight value.
-
-        The pre- and post-transition stimuli are evaluated as one
-        stacked batch — a single pass over the netlist instead of two —
-        through the bit-packed levelized kernel, and reduced straight
-        from packed words to per-net toggle rates via popcount
-        (bit-for-bit equal to the boolean-matrix path).  The frozen
-        weight bus is spliced in as per-wire scalars (broadcast at
-        input-matrix build), not re-expanded to ``2 n`` copies per
-        weight.
-        """
-        acts, psums = self._sample_stimulus(rng)
-        feed = bus_inputs("act", acts, self.mac.act_bits)
-        feed.update(bus_inputs(
-            "w", np.int64(weight), self.mac.weight_bits))
-        feed.update(bus_inputs("psum", psums, self.mac.psum_bits))
-
-        values = evaluate_words(self._packed, feed, pair_halves=True)
-        rates = paired_toggle_rates_words(values)
-        return float(np.dot(rates, self._energies))
-
-    def dynamic_energies_fj(self, weights: Sequence[int],
-                            seed: int) -> np.ndarray:
-        """Raw (uncalibrated) per-weight switching energies.
-
-        Each weight draws its stimulus from its own child RNG (see
-        :func:`weight_seed_sequence`), so the result for a weight is a
-        pure function of ``(seed, weight)`` — independent of ordering,
-        chunking, and of which other weights are in the set.
-
-        This is the per-weight oracle the one-launch megabatch path
-        (:meth:`dynamic_energies_fj_batched`) is equivalence-tested
-        against.
-        """
-        return np.array([
-            self._dynamic_energy_fj(
-                int(w),
-                np.random.default_rng(weight_seed_sequence(seed, int(w))))
-            for w in weights
-        ])
-
     def dynamic_energies_fj_batched(self, weights: Sequence[int],
                                     seed: int,
                                     batch_weights: Optional[int] = None
                                     ) -> np.ndarray:
-        """One-launch (megabatch) twin of :meth:`dynamic_energies_fj`.
+        """Raw (uncalibrated) per-weight switching energies, in fJ.
 
-        Per-weight stimuli still come from the same ``(seed, weight)``
-        child RNGs — drawn per weight, bit-for-bit as before — but the
+        Each weight draws its stimulus from its own child RNG (see
+        :func:`weight_seed_sequence`), so the result for a weight is a
+        pure function of ``(seed, weight)`` — independent of ordering,
+        chunking, and of which other weights are in the set.  The
         packed evaluation stacks every weight's stimulus along the
-        sample axis and walks the level schedule **once** per chunk,
-        amortizing the schedule-dispatch and input-packing overhead the
-        per-weight loop pays 2^16-scale times over.  Toggle energies
-        reduce per weight segment through the segmented popcount
-        without materializing any dense per-net matrix.  Both halves of
-        the launch pick up the compiled backend automatically: the walk
-        runs the level program (:mod:`repro.sim.compiled`; JIT
-        interpreter when numba is installed, vectorized program
-        executor otherwise) and, under the JIT, the per-segment toggle
-        counts come from the fused XOR+popcount kernel so the XOR word
-        matrix is never materialized either.
+        sample axis and runs the level program **once** per chunk,
+        amortizing the dispatch and input-packing overhead a per-weight
+        loop would pay 255 times over.  Toggle energies reduce per
+        weight segment through the segmented popcount without
+        materializing any dense per-net matrix.
 
-        Results are bit-for-bit identical to the per-weight path for
-        any ``batch_weights`` chunking — word-wise gate ops never mix
+        Results are bit-for-bit identical to evaluating each weight on
+        its own (the per-weight loop in ``tests/oracles``) for any
+        ``batch_weights`` chunking — word-wise gate ops never mix
         samples, each segment's packed layout matches its standalone
         evaluation, and the final per-weight dot products run over the
         same contiguous float vectors.
 
         Args:
             weights: Weight values, characterized in the given order.
-            seed: Stimulus seed (same meaning as the per-weight path).
+            seed: Stimulus seed.
             batch_weights: Weights per kernel launch; ``None``/``0``
                 sizes chunks automatically from
                 :data:`BATCH_MEMORY_BUDGET_BYTES`.
@@ -402,11 +350,9 @@ class WeightPowerCharacterizer:
                 bit-for-bit identical to the serial one, so ``jobs``
                 must never participate in cache keys.
             batch_weights: Weights per megabatch kernel launch
-                (``None``/``0`` = automatic memory-capped chunks, ``1``
-                = the per-weight oracle loop).  Batching is bit-for-bit
-                identical to the per-weight loop and composes with
-                ``jobs`` (each shard batches its own slice), so this
-                knob must never participate in cache keys either.
+                (``None``/``0`` = automatic memory-capped chunks).
+                Every chunking is bit-for-bit identical and composes
+                with ``jobs`` (each shard batches its own slice).
         """
         if weights is None:
             half = 1 << (self.mac.weight_bits - 1)

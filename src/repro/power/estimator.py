@@ -91,7 +91,7 @@ class PowerEstimator:
         if entry is None or entry[0] is not netlist:
             packed = (netlist if isinstance(netlist, PackedNetlist)
                       else netlist.packed())
-            packed.schedule  # build + cache the levelized plan
+            packed.schedule  # build + cache the level schedule
             packed.program   # ... and its compiled level program
             if len(self._energy_cache) >= self._ENERGY_CACHE_MAX:
                 self._energy_cache.clear()

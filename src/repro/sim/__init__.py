@@ -12,13 +12,6 @@ Vectorized replacements for the commercial tooling the paper uses:
   Design Compiler's STA engine).
 """
 
-from repro.sim.compiled import (
-    active_executor,
-    default_kernel,
-    jit_available,
-    jit_status,
-    set_process_kernel,
-)
 from repro.sim.logic import (
     PackedValues,
     bits_to_int,
@@ -36,18 +29,11 @@ from repro.sim.switching import (
     toggle_matrix,
     toggle_rates,
 )
-from repro.sim.dynamic_timing import (
-    dynamic_arrival_times,
-    dynamic_arrival_times_reference,
-    dynamic_bus_arrivals,
-    dynamic_delays,
-)
+from repro.sim.dynamic_timing import dynamic_bus_arrivals
 from repro.sim.static_timing import (
     static_arrival_times,
-    static_arrival_times_reference,
     static_max_delay,
     time_to_outputs,
-    time_to_outputs_reference,
 )
 
 __all__ = [
@@ -63,19 +49,9 @@ __all__ = [
     "toggle_rates",
     "paired_toggle_rates",
     "paired_toggle_rates_words",
-    "dynamic_arrival_times",
-    "dynamic_arrival_times_reference",
     "dynamic_bus_arrivals",
-    "dynamic_delays",
     "LevelProgram",
-    "active_executor",
-    "default_kernel",
-    "jit_available",
-    "jit_status",
-    "set_process_kernel",
     "static_arrival_times",
-    "static_arrival_times_reference",
     "static_max_delay",
     "time_to_outputs",
-    "time_to_outputs_reference",
 ]

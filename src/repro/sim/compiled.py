@@ -1,186 +1,34 @@
-"""Compiled execution backends for the level program.
+"""The level-program executor: the one gate-simulation kernel.
 
 Executes a :class:`~repro.sim.program.LevelProgram` (the flattened
 opcode-array form of the level schedule, see :mod:`repro.sim.program`)
-over the packed ``uint64`` word matrix.  Two executors share one
-bit-for-bit contract with the ``packed`` group walk
-(:func:`repro.sim.logic._run_schedule_words`, kept as oracle):
+over the packed ``uint64`` word matrix.  Per *level*, one merged
+fancy-index load pulls every operand word (``[src0|src1|mux src2]``),
+at most three in-place binary ufunc calls cover the AND/OR/XOR families
+(the program orders inverting twins adjacent), one broadcast XOR with
+the per-gate ``inv_mask`` applies every complement, and one scatter
+writes the level back — no per-group Python dispatch (MUX2 uses the
+XOR-select identity ``p ^ (sel & (p ^ q))`` entirely inside the
+gathered block).
 
-* ``jit`` — a Numba ``@njit(cache=True, nogil=True)`` interpreter that
-  walks the instruction stream gate by gate in native code (program
-  order is topological, so no level synchronization is needed), plus
-  fused variants that keep the whole reduction inside the launch:
-  segmented toggle popcounts for the one-launch characterization path
-  and a streaming dynamic-timing walk that retains only the requested
-  output-bus arrivals instead of the dense per-net arrival matrix.
-* ``numpy`` — the always-available fallback: per *level*, one merged
-  fancy-index load pulls every operand word (``[src0|src1|mux src2]``),
-  at most three in-place binary ufunc calls cover the AND/OR/XOR
-  families (the program orders inverting twins adjacent), one broadcast
-  XOR with the per-gate ``inv_mask`` applies every complement, and one
-  scatter writes the level back — no per-group Python dispatch (MUX2
-  uses the XOR-select identity ``p ^ (sel & (p ^ q))`` entirely inside
-  the gathered block).
-
-numba is an *optional* extra (``pip install .[jit]``); its import is
-attempted exactly once per process — the popcount capability-probe
-pattern — and the decision is exposed via :func:`jit_status` so
-benchmarks and CI log which executor actually ran.  Selection knobs:
-
-* ``REPRO_SIM_KERNEL`` — default word kernel (``compiled``/``packed``),
-  overriding the config/CLI default; never part of cache keys.
-* ``REPRO_SIM_JIT=0`` — force the numpy executor even when numba is
-  importable (the equivalence suite uses this to cover both paths).
+Every packed evaluation in :mod:`repro.sim.logic` (and so the power
+and timing characterizations) runs through :func:`run_program_words`.
+Its executable specification — the per-gate interpreted walk — lives
+with the equivalence tests in ``tests/oracles/sim.py``.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Dict, Optional
-
 import numpy as np
 
-from repro.netlist.gates import GateType
 from repro.sim.program import LevelProgram
 
-#: Environment variable selecting the default word kernel.
-KERNEL_ENV = "REPRO_SIM_KERNEL"
-
-#: Environment variable force-disabling the JIT executor (``0``/``off``/
-#: ``false``/``no``/``numpy`` all mean "use the numpy fallback").
-JIT_ENV = "REPRO_SIM_JIT"
-
-#: Kernels the packed word evaluators understand.
-WORD_KERNELS = ("compiled", "packed")
-
-_FALSEY = frozenset({"0", "false", "off", "no", "numpy"})
-
-#: Process-wide default kernel installed from config (see
-#: :func:`set_process_kernel`); ``None`` means auto.
-_process_kernel: Optional[str] = None
-
-#: Once-per-process numba import probe (never re-attempted).
-_numba_probe: Optional[Dict[str, Any]] = None
-
-#: Lazily built JIT kernel table (only when numba is importable).
-_jit_kernels: Optional[Dict[str, Callable]] = None
-
-
-# ----------------------------------------------------------------------
-# capability probe + kernel selection
-# ----------------------------------------------------------------------
-def _probe_numba() -> Dict[str, Any]:
-    """Attempt the numba import at most once per process.
-
-    Mirrors the ``_HAS_NATIVE_POPCOUNT`` pattern in
-    :mod:`repro.sim.logic`: the decision is made once, never inside a
-    hot loop, and worker processes re-probe on their own import.
-    """
-    global _numba_probe
-    if _numba_probe is None:
-        try:
-            import numba
-            _numba_probe = {
-                "available": True,
-                "version": getattr(numba, "__version__", "unknown"),
-            }
-        except ImportError:
-            _numba_probe = {"available": False, "version": None}
-    return _numba_probe
-
-
-def _jit_disabled() -> bool:
-    return os.environ.get(JIT_ENV, "").strip().lower() in _FALSEY
-
-
-def jit_available() -> bool:
-    """True when the JIT executor can run (importable and not disabled)."""
-    return not _jit_disabled() and _probe_numba()["available"]
-
-
-def active_executor() -> str:
-    """``"jit"`` or ``"numpy"`` — the program executor that runs now."""
-    return "jit" if jit_available() else "numpy"
-
-
-def jit_status() -> Dict[str, Any]:
-    """JIT availability decision for bench/platform metadata.
-
-    Returns:
-        ``{"available", "active", "version", "reason"}`` — ``available``
-        reports the import probe, ``active`` whether the JIT executor
-        is actually selected (the env kill-switch can veto it).
-    """
-    probe = _probe_numba()
-    if _jit_disabled():
-        reason = f"disabled via {JIT_ENV}"
-    elif probe["available"]:
-        reason = f"numba {probe['version']}"
-    else:
-        reason = "numba not importable"
-    return {
-        "available": probe["available"],
-        "active": jit_available(),
-        "version": probe["version"],
-        "reason": reason,
-    }
-
-
-def _validate_kernel(kernel: str) -> str:
-    if kernel not in WORD_KERNELS:
-        raise ValueError(
-            f"unknown sim kernel {kernel!r}; choose from "
-            f"{WORD_KERNELS} (or 'auto')")
-    return kernel
-
-
-def set_process_kernel(kernel: Optional[str]) -> None:
-    """Install a process-wide default word kernel (config plumbing).
-
-    ``None``/``"auto"`` resets to auto-detection.  The
-    ``REPRO_SIM_KERNEL`` environment variable still wins over this —
-    an explicit user override beats configuration.  Like ``char_jobs``,
-    the choice never enters cache keys: every kernel is bit-for-bit
-    identical.
-    """
-    global _process_kernel
-    if kernel is None or kernel == "auto":
-        _process_kernel = None
-    else:
-        _process_kernel = _validate_kernel(kernel)
-
-
-def default_kernel() -> str:
-    """The word kernel used when callers do not pass one explicitly.
-
-    Precedence: ``REPRO_SIM_KERNEL`` env override > process default
-    installed from config > ``"compiled"``.
-    """
-    env = os.environ.get(KERNEL_ENV, "").strip()
-    if env and env != "auto":
-        return _validate_kernel(env)
-    if _process_kernel is not None:
-        return _process_kernel
-    return "compiled"
-
-
-def resolve_kernel(kernel: Optional[str]) -> str:
-    """Normalize an explicit/auto kernel argument to a concrete one."""
-    if kernel is None or kernel == "auto":
-        return default_kernel()
-    return _validate_kernel(kernel)
-
-
-# ----------------------------------------------------------------------
-# numpy program executor (always available)
-# ----------------------------------------------------------------------
 #: Binary ufunc family table, indexed by the program's run family ids.
 _BINOP_UFUNCS = (np.bitwise_and, np.bitwise_or, np.bitwise_xor)
 
 
-def _run_program_words_numpy(program: LevelProgram,
-                             words: np.ndarray) -> None:
-    """Vectorized level-program execution over packed words, in place.
+def run_program_words(program: LevelProgram, words: np.ndarray) -> None:
+    """Execute the level program over packed words, in place.
 
     Per level (all slice arithmetic precomputed as plain ints in
     ``program.level_plan``): one merged fancy-index gather loads every
@@ -189,6 +37,10 @@ def _run_program_words_numpy(program: LevelProgram,
     NAND/NOR/XNOR/INV results (BUF rides along with a zero mask), the
     MUX2 tail evaluates ``p ^ (sel & (p ^ q))`` inside the gathered
     block, and one scatter writes the level's outputs back.
+
+    Padding bits beyond the batch may take arbitrary values: they are
+    dropped on unpack and cancel in paired toggle extraction, where
+    both halves compute the same function of identical padding.
     """
     dst = program.dst
     gather_idx = program.gather_idx
@@ -216,210 +68,3 @@ def _run_program_words_numpy(program: LevelProgram,
             np.bitwise_xor(c, bm, out=c)
             a[m:] = c
         words[dst[start:stop]] = a
-
-
-# ----------------------------------------------------------------------
-# JIT kernels (built lazily, only when numba is importable)
-# ----------------------------------------------------------------------
-def _build_jit_kernels() -> Dict[str, Callable]:  # pragma: no cover
-    """Compile the numba kernels once per process.
-
-    Exercised only when the optional numba extra is installed (the CI
-    jit leg); the numpy executor above is the in-repo tested fallback.
-    """
-    from numba import njit
-
-    OP_INV = int(GateType.INV)
-    OP_BUF = int(GateType.BUF)
-    OP_AND2 = int(GateType.AND2)
-    OP_OR2 = int(GateType.OR2)
-    OP_NAND2 = int(GateType.NAND2)
-    OP_NOR2 = int(GateType.NOR2)
-    OP_XOR2 = int(GateType.XOR2)
-    OP_XNOR2 = int(GateType.XNOR2)
-    OP_MUX2 = int(GateType.MUX2)
-
-    # SWAR popcount constants, explicitly uint64 so numba never
-    # promotes the masks through int64 (uint64 op int64 -> float64
-    # under numpy promotion rules).
-    M1 = np.uint64(0x5555555555555555)
-    M2 = np.uint64(0x3333333333333333)
-    M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    H01 = np.uint64(0x0101010101010101)
-    S1 = np.uint64(1)
-    S2 = np.uint64(2)
-    S4 = np.uint64(4)
-    S56 = np.uint64(56)
-    ONE = np.uint64(1)
-    WORD_SHIFT = 6          # samples-per-word log2
-    BIT_MASK = 63
-
-    @njit(cache=True, nogil=True, inline="always")
-    def _popcount64(x):
-        x = x - ((x >> S1) & M1)
-        x = (x & M2) + ((x >> S2) & M2)
-        x = (x + (x >> S4)) & M4
-        return (x * H01) >> S56
-
-    @njit(cache=True, nogil=True)
-    def run_words(ops, src0, src1, src2, dst, words):
-        n_words = words.shape[1]
-        for g in range(ops.shape[0]):
-            op = ops[g]
-            d = dst[g]
-            s0 = src0[g]
-            if op == OP_AND2:
-                s1 = src1[g]
-                for w in range(n_words):
-                    words[d, w] = words[s0, w] & words[s1, w]
-            elif op == OP_XOR2:
-                s1 = src1[g]
-                for w in range(n_words):
-                    words[d, w] = words[s0, w] ^ words[s1, w]
-            elif op == OP_OR2:
-                s1 = src1[g]
-                for w in range(n_words):
-                    words[d, w] = words[s0, w] | words[s1, w]
-            elif op == OP_NAND2:
-                s1 = src1[g]
-                for w in range(n_words):
-                    words[d, w] = ~(words[s0, w] & words[s1, w])
-            elif op == OP_NOR2:
-                s1 = src1[g]
-                for w in range(n_words):
-                    words[d, w] = ~(words[s0, w] | words[s1, w])
-            elif op == OP_XNOR2:
-                s1 = src1[g]
-                for w in range(n_words):
-                    words[d, w] = ~(words[s0, w] ^ words[s1, w])
-            elif op == OP_INV:
-                for w in range(n_words):
-                    words[d, w] = ~words[s0, w]
-            elif op == OP_BUF:
-                for w in range(n_words):
-                    words[d, w] = words[s0, w]
-            elif op == OP_MUX2:
-                s1 = src1[g]
-                s2 = src2[g]
-                for w in range(n_words):
-                    sel = words[s0, w]
-                    words[d, w] = (words[s2, w] & sel) \
-                        | (words[s1, w] & ~sel)
-
-    @njit(cache=True, nogil=True)
-    def segment_counts(words, n_segments, words_per_segment, counts):
-        half = words_per_segment // 2
-        n_nets = words.shape[0]
-        for net in range(n_nets):
-            for seg in range(n_segments):
-                base = seg * words_per_segment
-                acc = np.uint64(0)
-                for w in range(half):
-                    acc += _popcount64(words[net, base + w]
-                                       ^ words[net, base + half + w])
-                counts[seg, net] = acc
-
-    @njit(cache=True, nogil=True)
-    def stream_bus_arrivals(arity, src0, src1, src2, dst, delays,
-                            xor_words, out_nets, out):
-        n_nets = delays.shape[0]
-        n_gates = dst.shape[0]
-        batch = out.shape[1]
-        arrivals = np.zeros(n_nets, dtype=np.float64)
-        for j in range(batch):
-            word = j >> WORD_SHIFT
-            bit = np.uint64(j & BIT_MASK)
-            for g in range(n_gates):
-                d = dst[g]
-                if (xor_words[d, word] >> bit) & ONE:
-                    latest = arrivals[src0[g]]
-                    if arity[g] >= 2:
-                        other = arrivals[src1[g]]
-                        if other > latest:
-                            latest = other
-                    if arity[g] >= 3:
-                        other = arrivals[src2[g]]
-                        if other > latest:
-                            latest = other
-                    arrivals[d] = latest + delays[d]
-                else:
-                    arrivals[d] = 0.0
-            for k in range(out_nets.shape[0]):
-                out[k, j] = arrivals[out_nets[k]]
-
-    return {
-        "run_words": run_words,
-        "segment_counts": segment_counts,
-        "stream_bus_arrivals": stream_bus_arrivals,
-    }
-
-
-def _get_jit_kernels() -> Optional[Dict[str, Callable]]:
-    """The compiled kernel table, or ``None`` when JIT is unavailable."""
-    global _jit_kernels
-    if not jit_available():
-        return None
-    if _jit_kernels is None:  # pragma: no cover - needs numba
-        _jit_kernels = _build_jit_kernels()
-    return _jit_kernels
-
-
-# ----------------------------------------------------------------------
-# public entry points
-# ----------------------------------------------------------------------
-def run_program_words(program: LevelProgram,
-                      words: np.ndarray) -> None:
-    """Execute the level program over packed words, in place.
-
-    Dispatches to the JIT interpreter when available, else the
-    vectorized numpy executor — bit-for-bit identical either way.
-    """
-    kernels = _get_jit_kernels()
-    if kernels is not None:  # pragma: no cover - needs numba
-        kernels["run_words"](program.ops, program.src0, program.src1,
-                             program.src2, program.dst, words)
-        return
-    _run_program_words_numpy(program, words)
-
-
-def segment_toggle_counts(words: np.ndarray, n_segments: int,
-                          words_per_segment: int
-                          ) -> Optional[np.ndarray]:
-    """Fused per-segment paired toggle counts, JIT executor only.
-
-    XORs each segment's word-aligned before/after halves and popcounts
-    them inside one native loop — the XOR word matrix is never
-    materialized.  Returns ``None`` when the JIT executor is inactive
-    (callers fall back to the segmented-popcount numpy reduction, which
-    produces identical integer counts).
-    """
-    kernels = _get_jit_kernels()
-    if kernels is None:
-        return None
-    counts = np.empty((n_segments, words.shape[0]),  # pragma: no cover
-                      dtype=np.int64)
-    kernels["segment_counts"](  # pragma: no cover - needs numba
-        np.ascontiguousarray(words), n_segments, words_per_segment,
-        counts)
-    return counts  # pragma: no cover - needs numba
-
-
-def stream_bus_arrivals(program: LevelProgram, delays: np.ndarray,
-                        xor_words: np.ndarray, out_nets: np.ndarray,
-                        out: np.ndarray) -> bool:
-    """Streaming dynamic-arrival walk, JIT executor only.
-
-    Propagates arrival times gate by gate per sample, reading toggle
-    bits straight from the XOR word matrix and retaining only the
-    ``out_nets`` rows in ``out`` — the dense per-net arrival matrix is
-    never built.  Returns ``False`` when the JIT executor is inactive
-    (callers fall back to the windowed levelized propagation).
-    """
-    kernels = _get_jit_kernels()
-    if kernels is None:
-        return False
-    kernels["stream_bus_arrivals"](  # pragma: no cover - needs numba
-        program.arity, program.src0, program.src1, program.src2,
-        program.dst, delays, np.ascontiguousarray(xor_words),
-        np.ascontiguousarray(out_nets, dtype=np.int64), out)
-    return True  # pragma: no cover - needs numba

@@ -1,25 +1,20 @@
 """Batched Boolean evaluation of gate-level netlists.
 
-Three kernels share one contract (bit-for-bit identical results):
-
-* ``reference`` — the original interpreted walk: one Python iteration
-  per gate, applying its function to a whole boolean batch.  Kept as
-  the executable specification the fast kernels are tested against.
-* ``levelized`` — gates are topologically levelized and grouped by
-  type at :class:`~repro.netlist.gates.PackedNetlist` build time (see
-  :class:`~repro.netlist.gates.LevelSchedule`), so evaluation becomes
-  ~``depth x gate-types`` fancy-indexed numpy ops instead of ~N Python
-  iterations.
-* ``packed`` (default) — the levelized schedule over *bit-packed*
-  batches: net values are ``uint64`` words holding 64 samples each, so
-  every gate op processes 64 stimuli per machine word and memory
-  traffic drops 8x vs ``bool``.  Toggle statistics reduce straight
-  from packed words via popcount (:func:`popcount_words`) without ever
-  materializing the boolean matrix.
+Net values are *bit-packed*: ``uint64`` words holding 64 samples each,
+so every gate op processes 64 stimuli per machine word and memory
+traffic drops 8x vs ``bool``.  Gates are sorted into topological levels
+at :class:`~repro.netlist.gates.PackedNetlist` build time and flattened
+into a :class:`~repro.sim.program.LevelProgram`, which the one kernel
+(:func:`repro.sim.compiled.run_program_words`) executes level by level
+as a handful of fancy-indexed word ops.  Toggle statistics reduce
+straight from packed words via popcount (:func:`popcount_words`)
+without ever materializing the boolean matrix.
 
 Simulating the 2^16 activation transitions of the paper's timing
 characterization is therefore a few hundred word-wide array ops rather
-than 65536 separate simulations or even ~1000 per-gate batch ops.
+than 65536 separate simulations or even ~1000 per-gate batch ops.  The
+per-gate interpreted walk the kernel is tested against lives in
+``tests/oracles/sim.py``.
 """
 
 from __future__ import annotations
@@ -29,12 +24,7 @@ from typing import Callable, Dict, Mapping, Optional, Union
 
 import numpy as np
 
-from repro.netlist.gates import (
-    GateType,
-    LevelSchedule,
-    Netlist,
-    PackedNetlist,
-)
+from repro.netlist.gates import Netlist, PackedNetlist
 from repro.sim import compiled as _compiled
 
 ArrayLike = Union[np.ndarray, int, bool]
@@ -317,13 +307,6 @@ class BatchedPackedValues:
                 "not a paired evaluation; call evaluate_words_batched("
                 "..., pair_halves=True)")
         wps = self.words_per_segment
-        # The JIT executor fuses XOR + popcount + segment reduction in
-        # one native loop (identical integer counts); fall through to
-        # the segmented-popcount numpy reduction otherwise.
-        fused = _compiled.segment_toggle_counts(
-            self.words, self.n_segments, wps)
-        if fused is not None:  # pragma: no cover - needs numba
-            return fused
         view = self.words.reshape(self.words.shape[0], self.n_segments,
                                   2, wps // 2)
         xor = view[:, :, 0, :] ^ view[:, :, 1, :]
@@ -394,80 +377,8 @@ def _input_matrix_batched(packed: PackedNetlist,
 
 
 # ----------------------------------------------------------------------
-# kernels
+# evaluation
 # ----------------------------------------------------------------------
-def _run_schedule_bool(schedule: LevelSchedule,
-                       values: np.ndarray) -> None:
-    """Levelized evaluation over a boolean ``values`` matrix, in place."""
-    for group in schedule.groups:
-        gtype = group.gtype
-        if gtype == GateType.INV:
-            values[group.dst] = ~values[group.f0]
-        elif gtype == GateType.BUF:
-            values[group.dst] = values[group.f0]
-        elif gtype == GateType.AND2:
-            values[group.dst] = values[group.f0] & values[group.f1]
-        elif gtype == GateType.OR2:
-            values[group.dst] = values[group.f0] | values[group.f1]
-        elif gtype == GateType.NAND2:
-            values[group.dst] = ~(values[group.f0] & values[group.f1])
-        elif gtype == GateType.NOR2:
-            values[group.dst] = ~(values[group.f0] | values[group.f1])
-        elif gtype == GateType.XOR2:
-            values[group.dst] = values[group.f0] ^ values[group.f1]
-        elif gtype == GateType.XNOR2:
-            values[group.dst] = ~(values[group.f0] ^ values[group.f1])
-        elif gtype == GateType.MUX2:
-            values[group.dst] = np.where(
-                values[group.f0], values[group.f2], values[group.f1])
-        else:  # pragma: no cover - enum is exhaustive
-            raise AssertionError(f"unhandled gate type {gtype}")
-
-
-def _run_schedule_words(schedule: LevelSchedule,
-                        words: np.ndarray) -> None:
-    """Levelized evaluation over packed ``uint64`` words, in place.
-
-    Identical to :func:`_run_schedule_bool` with bitwise word ops;
-    padding bits beyond the batch may take arbitrary values (they are
-    dropped on unpack and cancel in paired toggle extraction, where
-    both halves compute the same function of identical padding).
-    """
-    for group in schedule.groups:
-        gtype = group.gtype
-        if gtype == GateType.INV:
-            words[group.dst] = ~words[group.f0]
-        elif gtype == GateType.BUF:
-            words[group.dst] = words[group.f0]
-        elif gtype == GateType.AND2:
-            words[group.dst] = words[group.f0] & words[group.f1]
-        elif gtype == GateType.OR2:
-            words[group.dst] = words[group.f0] | words[group.f1]
-        elif gtype == GateType.NAND2:
-            words[group.dst] = ~(words[group.f0] & words[group.f1])
-        elif gtype == GateType.NOR2:
-            words[group.dst] = ~(words[group.f0] | words[group.f1])
-        elif gtype == GateType.XOR2:
-            words[group.dst] = words[group.f0] ^ words[group.f1]
-        elif gtype == GateType.XNOR2:
-            words[group.dst] = ~(words[group.f0] ^ words[group.f1])
-        elif gtype == GateType.MUX2:
-            select = words[group.f0]
-            words[group.dst] = ((words[group.f2] & select)
-                                | (words[group.f1] & ~select))
-        else:  # pragma: no cover - enum is exhaustive
-            raise AssertionError(f"unhandled gate type {gtype}")
-
-
-def _run_words(packed: PackedNetlist, schedule: LevelSchedule,
-               words: np.ndarray, kernel: str) -> None:
-    """Run the selected word-domain kernel over ``words``, in place."""
-    if kernel == "compiled":
-        _compiled.run_program_words(packed.program, words)
-    else:
-        _run_schedule_words(schedule, words)
-
-
 def _prepare_words(packed: PackedNetlist, n_words: int,
                    words_out: Optional[np.ndarray]) -> np.ndarray:
     """The word matrix a packed evaluation writes into.
@@ -496,7 +407,6 @@ def evaluate_words(netlist: Union[Netlist, PackedNetlist],
                    inputs: Mapping[str, ArrayLike],
                    batch: Optional[int] = None,
                    pair_halves: bool = False,
-                   kernel: Optional[str] = None,
                    words_out: Optional[np.ndarray] = None
                    ) -> PackedValues:
     """Evaluate every net over bit-packed batches; stay packed.
@@ -515,11 +425,6 @@ def evaluate_words(netlist: Union[Netlist, PackedNetlist],
             (``[before..., after...]``, even length) and pack each half
             word-aligned, so the halves can be XORed word-for-word (see
             :meth:`PackedValues.halves`).
-        kernel: ``"compiled"`` (level-program executor, the default —
-            see :mod:`repro.sim.compiled`) or ``"packed"`` (the group
-            walk kept as oracle); ``None``/``"auto"`` defers to
-            ``REPRO_SIM_KERNEL`` / config.  Bit-for-bit identical
-            either way — the choice never enters cache keys.
         words_out: Optional preallocated C-contiguous word matrix of
             shape ``(nets, n_words)`` to evaluate into (reused across
             chunked launches); contents are overwritten and the
@@ -529,7 +434,6 @@ def evaluate_words(netlist: Union[Netlist, PackedNetlist],
         :class:`PackedValues` with one word row per net.
     """
     packed = _resolve_packed(netlist)
-    kernel = _compiled.resolve_kernel(kernel)
     batch = _infer_batch(inputs, batch)
     input_nets, input_bits = _input_matrix(packed, inputs, batch)
 
@@ -551,7 +455,7 @@ def evaluate_words(netlist: Union[Netlist, PackedNetlist],
     schedule = packed.schedule
     if schedule.const1.size:
         words[schedule.const1] = ~np.uint64(0)
-    _run_words(packed, schedule, words, kernel)
+    _compiled.run_program_words(packed.program, words)
     return PackedValues(words=words, batch=batch, half_batch=half_batch)
 
 
@@ -559,8 +463,7 @@ def evaluate_words_batched(netlist: Union[Netlist, PackedNetlist],
                            inputs: Mapping[str, ArrayLike],
                            n_segments: Optional[int] = None,
                            batch: Optional[int] = None,
-                           pair_halves: bool = False,
-                           kernel: Optional[str] = None
+                           pair_halves: bool = False
                            ) -> BatchedPackedValues:
     """Evaluate many stimulus segments in **one** kernel launch.
 
@@ -590,13 +493,11 @@ def evaluate_words_batched(netlist: Union[Netlist, PackedNetlist],
         pair_halves: Treat every segment as a stacked before/after pair
             and pack each half word-aligned (the toggle-extraction
             layout; see :func:`evaluate_words`).
-        kernel: Word kernel selection, as in :func:`evaluate_words`.
 
     Returns:
         :class:`BatchedPackedValues` over the whole megabatch.
     """
     packed = _resolve_packed(netlist)
-    kernel = _compiled.resolve_kernel(kernel)
     if n_segments is None or batch is None:
         for value in inputs.values():
             arr = np.asarray(value)
@@ -634,15 +535,14 @@ def evaluate_words_batched(netlist: Union[Netlist, PackedNetlist],
     schedule = packed.schedule
     if schedule.const1.size:
         words[schedule.const1] = ~np.uint64(0)
-    _run_words(packed, schedule, words, kernel)
+    _compiled.run_program_words(packed.program, words)
     return BatchedPackedValues(words=words, n_segments=n_segments,
                                batch=batch, half_batch=half_batch)
 
 
 def evaluate(netlist: Union[Netlist, PackedNetlist],
              inputs: Mapping[str, ArrayLike],
-             batch: Optional[int] = None,
-             kernel: Optional[str] = None) -> np.ndarray:
+             batch: Optional[int] = None) -> np.ndarray:
     """Evaluate every net of ``netlist`` for a batch of input patterns.
 
     Args:
@@ -651,99 +551,12 @@ def evaluate(netlist: Union[Netlist, PackedNetlist],
             boolean batch array or a scalar (broadcast over the batch).
         batch: Batch size; inferred from the first array input when
             omitted.
-        kernel: ``"compiled"``, ``"packed"``, ``"levelized"`` or
-            ``"reference"`` — all bit-for-bit identical; the slower
-            kernels exist as the testing oracle and for benchmarking.
-            ``None``/``"auto"`` (default) resolves through
-            ``REPRO_SIM_KERNEL`` / config (see
-            :mod:`repro.sim.compiled`).
 
     Returns:
         Boolean matrix ``values[net, sample]`` holding the logic value of
         every net for every pattern.
     """
-    packed = _resolve_packed(netlist)
-    if kernel is None or kernel == "auto":
-        kernel = _compiled.default_kernel()
-    if kernel in ("packed", "compiled"):
-        return evaluate_words(packed, inputs, batch,
-                              kernel=kernel).unpack()
-    if kernel == "levelized":
-        batch = _infer_batch(inputs, batch)
-        input_nets, input_bits = _input_matrix(packed, inputs, batch)
-        values = np.zeros((len(packed), batch), dtype=bool)
-        values[input_nets] = input_bits
-        schedule = packed.schedule
-        values[schedule.const1] = True
-        _run_schedule_bool(schedule, values)
-        return values
-    if kernel == "reference":
-        return _evaluate_reference(packed, inputs, batch)
-    raise ValueError(f"unknown kernel {kernel!r}; choose from "
-                     f"('compiled', 'packed', 'levelized', 'reference')")
-
-
-def _evaluate_reference(packed: PackedNetlist,
-                        inputs: Mapping[str, ArrayLike],
-                        batch: Optional[int] = None) -> np.ndarray:
-    """The original per-gate interpreted walk (executable spec)."""
-    names = packed.netlist.input_names
-    batch = _infer_batch(inputs, batch)
-
-    missing = set(names) - set(inputs)
-    if missing:
-        raise ValueError(f"missing values for inputs: {sorted(missing)}")
-
-    values = np.empty((len(packed), batch), dtype=bool)
-    for name, net in names.items():
-        arr = np.asarray(inputs[name], dtype=bool)
-        values[net] = np.broadcast_to(arr, (batch,))
-
-    types = packed.types
-    f0, f1, f2 = packed.fanin0, packed.fanin1, packed.fanin2
-    for net in range(len(packed)):
-        gtype = types[net]
-        if gtype == GateType.INPUT:
-            continue
-        if gtype == GateType.CONST0:
-            values[net] = False
-        elif gtype == GateType.CONST1:
-            values[net] = True
-        elif gtype == GateType.INV:
-            np.logical_not(values[f0[net]], out=values[net])
-        elif gtype == GateType.BUF:
-            values[net] = values[f0[net]]
-        elif gtype == GateType.AND2:
-            np.logical_and(values[f0[net]], values[f1[net]],
-                           out=values[net])
-        elif gtype == GateType.OR2:
-            np.logical_or(values[f0[net]], values[f1[net]],
-                          out=values[net])
-        elif gtype == GateType.NAND2:
-            np.logical_and(values[f0[net]], values[f1[net]],
-                           out=values[net])
-            np.logical_not(values[net], out=values[net])
-        elif gtype == GateType.NOR2:
-            np.logical_or(values[f0[net]], values[f1[net]],
-                          out=values[net])
-            np.logical_not(values[net], out=values[net])
-        elif gtype == GateType.XOR2:
-            np.logical_xor(values[f0[net]], values[f1[net]],
-                           out=values[net])
-        elif gtype == GateType.XNOR2:
-            np.logical_xor(values[f0[net]], values[f1[net]],
-                           out=values[net])
-            np.logical_not(values[net], out=values[net])
-        elif gtype == GateType.MUX2:
-            # Write through the preallocated row instead of allocating a
-            # fresh np.where result: default to fanin1, overwrite the
-            # selected samples with fanin2.
-            out = values[net]
-            np.copyto(out, values[f1[net]])
-            np.copyto(out, values[f2[net]], where=values[f0[net]])
-        else:  # pragma: no cover - enum is exhaustive
-            raise AssertionError(f"unhandled gate type {gtype}")
-    return values
+    return evaluate_words(netlist, inputs, batch).unpack()
 
 
 def read_output_bus(netlist: Union[Netlist, PackedNetlist],

@@ -1,18 +1,17 @@
 """Level-program compiler: flatten a :class:`LevelSchedule` to opcodes.
 
-The levelized schedule (:class:`~repro.netlist.gates.LevelSchedule`) is
+The level schedule (:class:`~repro.netlist.gates.LevelSchedule`) is
 a tuple of per-(level, type) :class:`~repro.netlist.gates.GateGroup`
 objects — ideal for numpy fancy indexing, but still a Python object
 walk (~100–150 groups per netlist per launch, most only a handful of
-gates wide) and opaque to compiled backends.  A :class:`LevelProgram`
-flattens that schedule into one contiguous set of typed ``int32``
-arrays — per-gate opcode, fanin net indices, output net index, level
-boundaries, arity — the *instruction stream* a compiled interpreter
-(:mod:`repro.sim.compiled`) executes gate by gate.
+gates wide).  A :class:`LevelProgram` flattens that schedule into one
+contiguous set of typed ``int32`` arrays — per-gate opcode, fanin net
+indices, output net index, level boundaries, arity — that the
+executor in :mod:`repro.sim.compiled` runs level by level.
 
-The program additionally reorders gates *within* each level (any
-within-level order is valid — levels only read strictly earlier
-levels) to make the vectorized numpy executor cheap:
+The program reorders gates *within* each level (any within-level order
+is valid — levels only read strictly earlier levels) to make that
+vectorized executor cheap:
 
 * the three binary ufunc families form contiguous runs
   (``AND2|NAND2``, ``OR2|NOR2``, ``XOR2|XNOR2``), so each level needs
@@ -91,8 +90,6 @@ class LevelProgram:
             inverting types, zero otherwise).
         level_starts: ``(n_levels_used + 1,)`` gate-index boundaries of
             the levels, ``int32``.
-        mux_starts: Per level, the gate index where the MUX2 tail
-            begins (== the level end when the level has none).
         gather_idx: Flat ``int32`` net indices of every level's merged
             operand gather ``[src0 | src1_safe | mux src2]``;
             per-level extents live in ``level_plan``.
@@ -125,7 +122,6 @@ class LevelProgram:
 
         all_ones = ~np.uint64(0)
         level_starts: List[int] = [0]
-        mux_starts: List[int] = []
         gather_parts: List[np.ndarray] = []
         level_plan: List[Tuple] = []
         g_pos = 0
@@ -166,7 +162,6 @@ class LevelProgram:
             if mux_start is None:
                 mux_start = stop
             level_starts.append(stop)
-            mux_starts.append(mux_start)
 
             # One merged operand gather per level: every gate's first
             # and second fanin (src1 redirected to src0 for unary
@@ -188,7 +183,6 @@ class LevelProgram:
         self.src1_safe = np.where(self.src1 >= 0, self.src1,
                                   self.src0).astype(np.int32)
         self.level_starts = np.asarray(level_starts, dtype=np.int32)
-        self.mux_starts = np.asarray(mux_starts, dtype=np.int32)
         self.gather_idx = (np.concatenate(gather_parts)
                            if gather_parts
                            else np.empty(0, dtype=np.int32))

@@ -147,7 +147,7 @@ class WeightDelayProfiler:
         self.model = MacTimingModel(mac, library)
         self.chunk = chunk
         self._packed = mac.multiplier.packed()
-        # Build the levelized plan and its compiled level program once,
+        # Build the level schedule and its level program once,
         # outside the per-weight loop (and before any worker pickling
         # ships the packed view, so shards receive both warm).
         self._packed.schedule
@@ -159,8 +159,8 @@ class WeightDelayProfiler:
             dtype=np.int64)
         # Scratch reused across chunks and weights: the packed word
         # matrix of the stacked value evaluation (previously
-        # reallocated per ~chunk-sized window) and the fallback DTA
-        # arrival slab.  One allocation each instead of one per DTA
+        # reallocated per ~chunk-sized window) and the DTA arrival
+        # slab.  One allocation each instead of one per DTA
         # call — page-faulting fresh buffers per chunk costs more than
         # the propagation itself.  Lazily allocated, never pickled
         # (see __getstate__).
@@ -204,7 +204,7 @@ class WeightDelayProfiler:
 
         The one-launch twin of :meth:`delays`: several weights' stimuli
         concatenate into one flat stream with a per-sample weight bus,
-        so the dynamic timing analysis walks its levelized plan once
+        so the dynamic timing analysis walks its level schedule once
         per ``chunk``-sized window instead of once per weight.  Arrival
         propagation is independent per sample column, so the flat
         batching (and its different chunk boundaries) is bit-for-bit
@@ -354,20 +354,10 @@ def _profile_chunk(task: Tuple[WeightDelayProfiler, np.ndarray,
 
     Process sharding composes on top of weight batching: each shard
     groups its own slice of the weight set into flat one-launch DTA
-    streams (or falls back to the per-weight loop when
-    ``batch_weights == 1``).
+    streams.
     """
     profiler, weights, transitions, n_transitions, seed, batch_weights \
         = task
-    if batch_weights == 1:
-        records = []
-        for weight in weights:
-            act_from, act_to = _weight_transitions(
-                profiler, int(weight), transitions, n_transitions, seed)
-            delays = profiler.delays(int(weight), act_from, act_to)
-            records.append((int(weight), act_from, act_to, delays))
-        return records
-
     group_size = _resolve_group_weights(
         profiler, batch_weights, transitions, n_transitions)
     records = []
@@ -511,10 +501,8 @@ class WeightTimingTable:
             batch_weights: Weights whose transitions concatenate into
                 one flat one-launch DTA stream (``None``/``0`` =
                 automatic, roughly one ``profiler.chunk`` window per
-                group; ``1`` = the per-weight oracle loop).  Batching
-                is bit-for-bit identical to the per-weight loop and
-                composes with ``jobs``, so this knob must never
-                participate in cache keys either.
+                group).  Every grouping is bit-for-bit identical to
+                profiling each weight alone and composes with ``jobs``.
         """
         mac = profiler.mac
         if weights is None:

@@ -3,8 +3,9 @@
 The weight-batched paths — ``evaluate_words_batched`` megabatch
 evaluation, ``dynamic_energies_fj_batched`` power characterization and
 ``delays_batched`` timing profiling — must be *bit-for-bit* equal to
-the per-weight loops they replace, which in turn must stay bit-for-bit
-equal to the pre-batching (PR 4-era) reference implementations whose
+per-weight evaluation (the power loop in :mod:`oracles.characterization`,
+``WeightDelayProfiler.delays`` for timing), which in turn must stay
+bit-for-bit equal to the pre-batching reference implementations whose
 RNG consumption defined the golden results.  That chain is what lets
 the pipeline default to the batched paths with zero golden-file
 regeneration and zero stage-version bumps.
@@ -24,9 +25,8 @@ from repro.power.binning import BinnedTransitions, PartialSumBinner
 from repro.power.characterization import (
     WeightPowerCharacterizer,
     resolve_batch_weights,
-    weight_seed_sequence,
 )
-from repro.power.transitions import TransitionDistribution, code_to_value
+from repro.power.transitions import TransitionDistribution
 from repro.sim import logic as logic_mod
 from repro.sim.logic import (
     BatchedPackedValues,
@@ -46,6 +46,10 @@ from repro.timing.profile import (
     WeightTimingTable,
 )
 
+from oracles.characterization import (
+    dynamic_energies_fj,
+    pre_batching_energies_fj,
+)
 from test_sim_kernel import random_netlists
 
 #: Sample counts hostile to 64-bit word packing.
@@ -244,49 +248,6 @@ def characterizer_factory():
     return build
 
 
-def _pr4_reference_energies(char, weights, seed):
-    """The pre-batching (PR 4-era) characterization, frozen.
-
-    ``rng.choice``-based stimulus sampling plus a dense per-weight
-    weight bus — the RNG consumption that defined the golden tables.
-    """
-    energies = []
-    for weight in weights:
-        rng = np.random.default_rng(
-            weight_seed_sequence(seed, int(weight)))
-        n = char.n_samples
-        act = char.act_transitions
-        drawn = rng.choice(act.matrix.size, size=n, p=act.matrix.ravel())
-        acts = code_to_value(
-            np.concatenate([drawn // act.n_codes, drawn % act.n_codes]),
-            char.mac.act_bits)
-        bt = char.psum_transitions
-        dist = bt.distribution
-        drawn = rng.choice(dist.matrix.size, size=n,
-                           p=dist.matrix.ravel())
-        halves = []
-        for bin_ids in (drawn // dist.n_codes, drawn % dist.n_codes):
-            out = np.empty(n, dtype=np.int64)
-            for b in range(bt.binner.n_bins):
-                mask = bin_ids == b
-                count = int(mask.sum())
-                if count:
-                    out[mask] = rng.choice(bt.binner._exemplars[b],
-                                           size=count)
-            halves.append(out)
-        psums = np.concatenate(halves)
-
-        feed = bus_inputs("act", acts, char.mac.act_bits)
-        feed.update(bus_inputs(
-            "w", np.full(2 * n, int(weight), dtype=np.int64),
-            char.mac.weight_bits))
-        feed.update(bus_inputs("psum", psums, char.mac.psum_bits))
-        values = evaluate_words(char._packed, feed, pair_halves=True)
-        rates = paired_toggle_rates_words(values)
-        energies.append(float(np.dot(rates, char._energies)))
-    return np.array(energies)
-
-
 class TestPowerBatchedEquivalence:
     WEIGHTS = list(range(-127, 128, 24))
 
@@ -294,8 +255,8 @@ class TestPowerBatchedEquivalence:
     def test_batched_equals_per_weight_equals_reference(
             self, characterizer_factory, n_samples):
         char = characterizer_factory(n_samples)
-        per = char.dynamic_energies_fj(self.WEIGHTS, seed=5)
-        reference = _pr4_reference_energies(char, self.WEIGHTS, seed=5)
+        per = dynamic_energies_fj(char, self.WEIGHTS, seed=5)
+        reference = pre_batching_energies_fj(char, self.WEIGHTS, seed=5)
         np.testing.assert_array_equal(per, reference)
         for batch_weights in (None, 1, 2, 3, len(self.WEIGHTS)):
             batched = char.dynamic_energies_fj_batched(

@@ -1,22 +1,14 @@
-"""Equivalence suite for the compiled level-program kernel.
+"""Equivalence suite for the level-program kernel.
 
-The compiled backend (:mod:`repro.sim.program` +
-:mod:`repro.sim.compiled`) must be *bit-for-bit* equal to the packed
-group walk — which itself is property-tested against the per-gate
-reference — on every netlist, every batch size and both program
-executors.  That equivalence is what lets the pipeline default to the
-compiled kernel with zero golden-file regeneration, zero stage-version
-bumps and no kernel field in any cache key.
-
-The JIT executor needs the optional numba extra (the CI ``jit`` leg);
-in a plain environment both the auto-detected path and the
-``REPRO_SIM_JIT=0`` forced path run the vectorized numpy executor, so
-this suite always covers the executor that actually ships.
+The production kernel (:mod:`repro.sim.program` +
+:mod:`repro.sim.compiled`) must be *bit-for-bit* equal to the per-gate
+reference walk in :mod:`oracles.sim` on every netlist and every batch
+size, and the streaming dynamic timing analysis must match the per-net
+reference DTA.  That equivalence is what lets the pipeline run the
+kernel with zero golden-file regeneration and zero stage-version bumps.
 """
 
-import os
 import pickle
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,28 +17,18 @@ from hypothesis import given, settings, strategies as st
 from repro.cells import default_library
 from repro.netlist import NetlistBuilder, build_mac_unit
 from repro.netlist.gates import GateType, SOURCE_TYPES
-from repro.sim import compiled as compiled_mod
-from repro.sim.compiled import (
-    JIT_ENV,
-    KERNEL_ENV,
-    active_executor,
-    default_kernel,
-    jit_status,
-    resolve_kernel,
-    set_process_kernel,
-)
-from repro.sim.dynamic_timing import (
-    dynamic_arrival_times_reference,
-    dynamic_bus_arrivals,
-)
+from repro.sim.dynamic_timing import dynamic_bus_arrivals
 from repro.sim.logic import (
-    WORD_DTYPE,
+    WORD_BITS,
     bus_inputs,
     evaluate,
     evaluate_words,
     evaluate_words_batched,
+    pack_bits,
+    popcount_words,
 )
-from repro.sim.program import LevelProgram
+
+from oracles.sim import dynamic_arrival_times_reference, evaluate_reference
 
 #: Batch sizes hostile to 64-bit word packing.
 AWKWARD_BATCHES = (1, 3, 63, 64, 65, 127, 128, 129, 200)
@@ -100,36 +82,23 @@ class TestCompiledEquivalence:
     def test_compiled_matches_reference_and_packed(self, netlist,
                                                    batch, seed):
         feed = _random_feed(netlist, batch, seed)
-        reference = evaluate(netlist, feed, kernel="reference")
-        np.testing.assert_array_equal(
-            reference, evaluate(netlist, feed, kernel="compiled"))
-        # Word-level equality is stronger than unpacked equality: even
-        # the garbage padding bits must agree with the packed oracle.
-        packed_words = evaluate_words(netlist, feed, kernel="packed")
-        compiled_words = evaluate_words(netlist, feed, kernel="compiled")
-        np.testing.assert_array_equal(packed_words.words,
-                                      compiled_words.words)
-
-    @settings(max_examples=30, deadline=None)
-    @given(netlist=random_netlists(), batch=st.integers(1, 200),
-           seed=st.integers(0, 2**32 - 1))
-    def test_numpy_executor_forced(self, netlist, batch, seed):
-        """``REPRO_SIM_JIT=0`` pins the numpy executor explicitly."""
-        with mock.patch.dict(os.environ, {JIT_ENV: "0"}):
-            assert active_executor() == "numpy"
-            feed = _random_feed(netlist, batch, seed)
-            np.testing.assert_array_equal(
-                evaluate_words(netlist, feed, kernel="packed").words,
-                evaluate_words(netlist, feed, kernel="compiled").words)
+        reference = evaluate_reference(netlist, feed)
+        np.testing.assert_array_equal(reference, evaluate(netlist, feed))
+        # Word-level: every valid bit of every packed word matches the
+        # packed reference (padding bits are free to differ).
+        words = evaluate_words(netlist, feed).words.copy()
+        tail = batch % WORD_BITS
+        if tail:
+            words[:, -1] &= np.uint64((1 << tail) - 1)
+        np.testing.assert_array_equal(words, pack_bits(reference))
 
     @pytest.mark.parametrize("batch", AWKWARD_BATCHES)
     def test_mac_multiplier_awkward_batches(self, batch):
         mac = build_mac_unit()
         feed = _mult_feed(batch, seed=batch)
         np.testing.assert_array_equal(
-            evaluate_words(mac.multiplier, feed, kernel="packed").words,
-            evaluate_words(mac.multiplier, feed,
-                           kernel="compiled").words)
+            evaluate_reference(mac.multiplier, feed),
+            evaluate(mac.multiplier, feed))
 
     def test_mux_and_const_corners(self):
         """MUX2 select polarity and shared constants survive the
@@ -146,32 +115,36 @@ class TestCompiledEquivalence:
         netlist = builder.build()
         feed = {"sel": np.array([False, False, True, True] * 17),
                 "a": np.array([False, True, False, True] * 17)}
-        np.testing.assert_array_equal(
-            evaluate(netlist, feed, kernel="reference"),
-            evaluate(netlist, feed, kernel="compiled"))
+        np.testing.assert_array_equal(evaluate_reference(netlist, feed),
+                                      evaluate(netlist, feed))
 
     def test_batched_segments_match_packed(self):
         """The one-launch characterization layout (paired megabatch,
-        per-segment frozen weight) is kernel-independent, including the
-        fused toggle counts."""
+        per-segment frozen weight) matches standalone packed
+        evaluations of each segment, toggle counts included."""
         mac = build_mac_unit()
         rng = np.random.default_rng(9)
         n_segments, half = 5, 100
         weights = rng.integers(-128, 128, (n_segments, 1))
-        feed = bus_inputs("act",
-                          rng.integers(-128, 128, 2 * half), 8)
+        acts = rng.integers(-128, 128, 2 * half)
+        psums = rng.integers(-(1 << 21), 1 << 21, 2 * half)
+        feed = bus_inputs("act", acts, 8)
         feed.update(bus_inputs("w", weights, 8))
-        feed.update(bus_inputs(
-            "psum", rng.integers(-(1 << 21), 1 << 21, 2 * half), 22))
-        packed = evaluate_words_batched(
+        feed.update(bus_inputs("psum", psums, 22))
+        batched = evaluate_words_batched(
             mac.full, feed, n_segments=n_segments, batch=2 * half,
-            pair_halves=True, kernel="packed")
-        comp = evaluate_words_batched(
-            mac.full, feed, n_segments=n_segments, batch=2 * half,
-            pair_halves=True, kernel="compiled")
-        np.testing.assert_array_equal(packed.words, comp.words)
-        np.testing.assert_array_equal(packed.paired_toggle_counts(),
-                                      comp.paired_toggle_counts())
+            pair_halves=True)
+        counts = batched.paired_toggle_counts()
+        for k in range(n_segments):
+            solo_feed = bus_inputs("act", acts, 8)
+            solo_feed.update(bus_inputs("w", weights[k, 0], 8))
+            solo_feed.update(bus_inputs("psum", psums, 22))
+            solo = evaluate_words(mac.full, solo_feed, pair_halves=True)
+            np.testing.assert_array_equal(batched.segment(k).words,
+                                          solo.words)
+            before, after = solo.halves()
+            np.testing.assert_array_equal(counts[k],
+                                          popcount_words(before ^ after))
 
     def test_words_out_reuse_is_exact(self):
         """A poisoned reused buffer (dirty CONST/padding rows) cannot
@@ -179,10 +152,9 @@ class TestCompiledEquivalence:
         mac = build_mac_unit()
         packed = mac.multiplier.packed()
         feed = _mult_feed(130, seed=2)
-        fresh = evaluate_words(packed, feed, kernel="compiled")
+        fresh = evaluate_words(packed, feed)
         buf = np.full_like(fresh.words, ~np.uint64(0))  # all-ones poison
-        reused = evaluate_words(packed, feed, kernel="compiled",
-                                words_out=buf)
+        reused = evaluate_words(packed, feed, words_out=buf)
         assert reused.words is buf
         np.testing.assert_array_equal(fresh.words, reused.words)
 
@@ -195,9 +167,8 @@ class TestCompiledEquivalence:
         assert clone._program is not None  # no rebuild in the worker
         np.testing.assert_array_equal(program.dst, clone.program.dst)
         feed = _mult_feed(65, seed=7)
-        np.testing.assert_array_equal(
-            evaluate(packed, feed, kernel="compiled"),
-            evaluate(clone, feed, kernel="compiled"))
+        np.testing.assert_array_equal(evaluate(packed, feed),
+                                      evaluate(clone, feed))
 
 
 class TestLevelProgram:
@@ -277,79 +248,8 @@ class TestLevelProgram:
         assert program.n_gates == 0
         assert program.level_plan == ()
         feed = {"a": np.ones(70, bool), "b": np.zeros(70, bool)}
-        np.testing.assert_array_equal(
-            evaluate(packed, feed, kernel="reference"),
-            evaluate(packed, feed, kernel="compiled"))
-
-
-class TestKernelSelection:
-    @pytest.fixture(autouse=True)
-    def _reset_process_kernel(self):
-        yield
-        set_process_kernel(None)
-
-    def test_default_prefers_compiled(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        set_process_kernel(None)
-        assert default_kernel() == "compiled"
-        assert resolve_kernel(None) == "compiled"
-        assert resolve_kernel("auto") == "compiled"
-        assert resolve_kernel("packed") == "packed"
-
-    def test_process_kernel_from_config(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        set_process_kernel("packed")
-        assert default_kernel() == "packed"
-        set_process_kernel("auto")  # config 'auto' resets
-        assert default_kernel() == "compiled"
-
-    def test_env_override_beats_process_kernel(self, monkeypatch):
-        set_process_kernel("compiled")
-        monkeypatch.setenv(KERNEL_ENV, "packed")
-        assert default_kernel() == "packed"
-        monkeypatch.setenv(KERNEL_ENV, "auto")  # env 'auto' defers
-        assert default_kernel() == "compiled"
-
-    def test_invalid_kernel_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown sim kernel"):
-            resolve_kernel("quantum")
-        with pytest.raises(ValueError, match="unknown sim kernel"):
-            set_process_kernel("quantum")
-        monkeypatch.setenv(KERNEL_ENV, "quantum")
-        with pytest.raises(ValueError, match="unknown sim kernel"):
-            default_kernel()
-
-    def test_evaluate_error_lists_compiled(self):
-        builder = NetlistBuilder()
-        builder.netlist.add_input("a")
-        with pytest.raises(ValueError, match="compiled"):
-            evaluate(builder.build(), {"a": True}, kernel="quantum")
-
-    def test_jit_status_reports_kill_switch(self, monkeypatch):
-        monkeypatch.setenv(JIT_ENV, "off")
-        status = jit_status()
-        assert status["active"] is False
-        assert "disabled" in status["reason"]
-        assert active_executor() == "numpy"
-        monkeypatch.delenv(JIT_ENV)
-        status = jit_status()
-        # With the switch released the decision is the import probe's.
-        assert status["active"] == status["available"]
-        assert isinstance(status["reason"], str)
-
-    def test_segment_counts_none_without_jit(self, monkeypatch):
-        monkeypatch.setenv(JIT_ENV, "0")
-        words = np.zeros((3, 4), dtype=WORD_DTYPE)
-        assert compiled_mod.segment_toggle_counts(words, 2, 2) is None
-
-    def test_stream_false_without_jit(self, monkeypatch):
-        monkeypatch.setenv(JIT_ENV, "0")
-        packed = build_mac_unit().multiplier.packed()
-        ok = compiled_mod.stream_bus_arrivals(
-            packed.program, np.zeros(len(packed)),
-            np.zeros((len(packed), 1), dtype=WORD_DTYPE),
-            np.array([0], dtype=np.int64), np.zeros((1, 64)))
-        assert ok is False
+        np.testing.assert_array_equal(evaluate_reference(packed, feed),
+                                      evaluate(packed, feed))
 
 
 class TestStreamingDTA:
@@ -394,14 +294,6 @@ class TestStreamingDTA:
             packed, library, before, after)
         np.testing.assert_array_equal(whole, ref_arrivals[nets])
 
-    def test_packed_kernel_is_the_oracle_path(self):
-        library = default_library()
-        packed, before, after, nets = self._mult_transition(100)
-        np.testing.assert_array_equal(
-            dynamic_bus_arrivals(packed, library, before, after, nets),
-            dynamic_bus_arrivals(packed, library, before, after, nets,
-                                 kernel="packed"))
-
     def test_arrivals_out_reuse_is_exact(self):
         library = default_library()
         packed, before, after, nets = self._mult_transition(190)
@@ -424,9 +316,10 @@ class TestStreamingDTA:
                                  window=64,
                                  arrivals_out=np.zeros((3, 64)))
 
-    def test_profiler_is_kernel_independent(self, monkeypatch):
-        """The full profiler path (chunking, buffer reuse, compose) is
-        bit-for-bit identical under either kernel."""
+    def test_profiler_is_kernel_independent(self):
+        """The full profiler path (chunking, buffer reuse, compose)
+        reproduces the reference DTA whatever chunk boundaries the
+        kernel sees."""
         from repro.timing.profile import WeightDelayProfiler
 
         mac = build_mac_unit()
@@ -434,10 +327,15 @@ class TestStreamingDTA:
         rng = np.random.default_rng(5)
         act_from = rng.integers(-128, 128, 230)
         act_to = rng.integers(-128, 128, 230)
-        monkeypatch.setenv(KERNEL_ENV, "compiled")
-        compiled = WeightDelayProfiler(mac, library, chunk=64).delays(
-            -105, act_from, act_to)
-        monkeypatch.setenv(KERNEL_ENV, "packed")
-        packed = WeightDelayProfiler(mac, library, chunk=64).delays(
-            -105, act_from, act_to)
-        np.testing.assert_array_equal(compiled, packed)
+        profiler = WeightDelayProfiler(mac, library, chunk=64)
+        weight_bus = bus_inputs("w", np.full(230, -105), 8)
+        before = bus_inputs("act", act_from, 8)
+        before.update(weight_bus)
+        after = bus_inputs("act", act_to, 8)
+        after.update(weight_bus)
+        ref_arrivals, __ = dynamic_arrival_times_reference(
+            mac.multiplier, library, before, after)
+        nets = mac.multiplier.output_bus("product", mac.product_bits)
+        np.testing.assert_array_equal(
+            profiler.delays(-105, act_from, act_to),
+            profiler.model.compose(ref_arrivals[nets]))

@@ -7,11 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.cells import default_library
 from repro.netlist import build_mac_unit
 from repro.power.characterization import WeightPowerTable
-from repro.sim.dynamic_timing import (
-    dynamic_arrival_times,
-    dynamic_delays,
-    output_bus_arrivals,
-)
 from repro.sim.logic import bus_inputs
 from repro.sim.static_timing import static_max_delay
 from repro.systolic import (
@@ -24,6 +19,8 @@ from repro.systolic import (
 )
 from repro.timing import DelaySelector, WeightDelayProfiler, \
     WeightTimingTable
+
+from oracles.sim import dynamic_arrival_times, dynamic_delays
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@
 The :class:`~repro.service.jobs.JobManager` tests run everywhere (the
 job layer is dependency-free); the HTTP tests skip cleanly when the
 optional ``service`` extra (fastapi) or its test client transport
-(httpx) is absent — mirroring the no-numba leg of the jit extra.
+(httpx) is absent.
 
 Pool-breakage tests rely on the ``fork`` start method: the forked
 workers inherit the monkeypatched synthetic point runner and the

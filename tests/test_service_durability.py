@@ -213,7 +213,6 @@ status = mgr.submit_mapping({
     "thresholds": [None, 900.0, 1800.0],
     "crash_after_points": 1,
 })
-print(status["job_id"], flush=True)
 mgr.wait(status["job_id"], timeout=60)
 print("UNREACHABLE", flush=True)  # the crash knob SIGKILLs us first
 """
@@ -231,9 +230,12 @@ print("UNREACHABLE", flush=True)  # the crash knob SIGKILLs us first
         # was journaled — the hard way, not an exception.
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         assert "UNREACHABLE" not in proc.stdout
-        job_id = proc.stdout.split()[0]
-
+        # The job id comes from the journal, not stdout: the worker
+        # thread can journal the first row and SIGKILL the child before
+        # its print of the id runs.
         store = JobStore(store_path)
+        (job,) = store.load_jobs()
+        job_id = job["job_id"]
         rows_before_restart = store.load_rows(job_id)
         assert len(rows_before_restart) == 1  # the journaled row
         assert store.load_job(job_id)["state"] == "running"

@@ -1,12 +1,12 @@
-"""Property tests for the levelized / bit-packed simulation kernels.
+"""Property tests for the bit-packed simulation and timing kernels.
 
-The packed and levelized kernels must be *bit-for-bit* equal to the
-reference per-gate walk on every netlist and every batch size — that
-equivalence is what lets the pipeline adopt them with zero golden-file
-regeneration and zero stage-version bumps.  Hypothesis drives random
-DAGs (all gate types, shared constants, random fanins) and random batch
-sizes, including the awkward non-multiple-of-64 ones where packed-word
-padding bugs would live.
+The production kernels must be *bit-for-bit* equal to the reference
+per-gate and per-net walks in :mod:`oracles.sim` on every netlist and
+every batch size — that equivalence is what lets the pipeline run them
+with zero golden-file regeneration and zero stage-version bumps.
+Hypothesis drives random DAGs (all gate types, shared constants, random
+fanins) and random batch sizes, including the awkward non-multiple-of-64
+ones where packed-word padding bugs would live.
 """
 
 import pickle
@@ -19,10 +19,7 @@ from repro.cells import default_library
 from repro.netlist import NetlistBuilder, build_mac_unit
 from repro.netlist.gates import GateType, SOURCE_TYPES
 from repro.sim import logic as logic_mod
-from repro.sim.dynamic_timing import (
-    dynamic_arrival_times,
-    dynamic_arrival_times_reference,
-)
+from repro.sim.dynamic_timing import dynamic_bus_arrivals
 from repro.sim.logic import (
     bus_inputs,
     evaluate,
@@ -34,6 +31,14 @@ from repro.sim.logic import (
 from repro.sim.switching import (
     paired_toggle_rates,
     paired_toggle_rates_words,
+)
+
+from oracles.sim import (
+    dynamic_arrival_times,
+    dynamic_arrival_times_reference,
+    evaluate_reference,
+    static_arrival_times_reference,
+    time_to_outputs_reference,
 )
 
 #: Batch sizes hostile to 64-bit word packing.
@@ -78,11 +83,8 @@ class TestKernelEquivalence:
            seed=st.integers(0, 2**32 - 1))
     def test_all_kernels_bit_identical(self, netlist, batch, seed):
         feed = _random_feed(netlist, batch, seed)
-        reference = evaluate(netlist, feed, kernel="reference")
-        levelized = evaluate(netlist, feed, kernel="levelized")
-        packed = evaluate(netlist, feed, kernel="packed")
-        np.testing.assert_array_equal(reference, levelized)
-        np.testing.assert_array_equal(reference, packed)
+        np.testing.assert_array_equal(evaluate_reference(netlist, feed),
+                                      evaluate(netlist, feed))
 
     @settings(max_examples=30, deadline=None)
     @given(netlist=random_netlists(), half=st.integers(1, 130),
@@ -90,7 +92,7 @@ class TestKernelEquivalence:
     def test_paired_words_match_reference(self, netlist, half, seed):
         """Word-aligned halves reproduce the stacked boolean layout."""
         feed = _random_feed(netlist, 2 * half, seed)
-        reference = evaluate(netlist, feed, kernel="reference")
+        reference = evaluate_reference(netlist, feed)
         paired = evaluate_words(netlist, feed, pair_halves=True)
         assert paired.half_batch == half
         np.testing.assert_array_equal(reference, paired.unpack())
@@ -104,13 +106,15 @@ class TestKernelEquivalence:
         rng = np.random.default_rng(batch)
         feed = bus_inputs("act", rng.integers(-128, 128, batch), 8)
         feed.update(bus_inputs("w", rng.integers(-128, 128, batch), 8))
-        reference = evaluate(mac.multiplier, feed, kernel="reference")
+        reference = evaluate_reference(mac.multiplier, feed)
         np.testing.assert_array_equal(
             reference, evaluate(mac.multiplier, feed))
 
     @pytest.mark.parametrize("kernel", ["packed", "levelized"])
     def test_mux_and_const_corners(self, kernel):
-        """MUX2 select polarity and shared constants survive packing."""
+        """MUX2 select polarity and shared constants survive packing,
+        in the flat word layout of the level program (``levelized``)
+        and in the word-aligned before/after halves (``packed``)."""
         builder = NetlistBuilder()
         sel = builder.netlist.add_input("sel")
         a = builder.netlist.add_input("a")
@@ -123,23 +127,20 @@ class TestKernelEquivalence:
         netlist = builder.build()
         feed = {"sel": np.array([False, False, True, True] * 17),
                 "a": np.array([False, True, False, True] * 17)}
-        np.testing.assert_array_equal(
-            evaluate(netlist, feed, kernel="reference"),
-            evaluate(netlist, feed, kernel=kernel))
-
-    def test_unknown_kernel_rejected(self):
-        builder = NetlistBuilder()
-        builder.netlist.add_input("a")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            evaluate(builder.build(), {"a": True}, kernel="quantum")
+        if kernel == "packed":
+            values = evaluate_words(netlist, feed, pair_halves=True).unpack()
+        else:
+            values = evaluate(netlist, feed)
+        np.testing.assert_array_equal(evaluate_reference(netlist, feed),
+                                      values)
 
     def test_missing_input_message_matches_reference(self):
         builder = NetlistBuilder()
         builder.netlist.add_input("a")
         builder.netlist.add_input("b")
-        for kernel in ("packed", "levelized", "reference"):
+        for evaluator in (evaluate, evaluate_reference):
             with pytest.raises(ValueError, match="missing"):
-                evaluate(builder.build(), {"a": True}, kernel=kernel)
+                evaluator(builder.build(), {"a": True})
 
     def test_odd_stacked_batch_rejected(self):
         builder = NetlistBuilder()
@@ -234,8 +235,7 @@ class TestPackingPrimitives:
         feed.update(bus_inputs("w", np.full(2 * n, -105), 8))
         feed.update(bus_inputs(
             "psum", rng.integers(-(1 << 21), 1 << 21, 2 * n), 22))
-        reference = paired_toggle_rates(
-            evaluate(mac.full, feed, kernel="reference"))
+        reference = paired_toggle_rates(evaluate_reference(mac.full, feed))
         packed = paired_toggle_rates_words(
             evaluate_words(mac.full, feed, pair_halves=True))
         np.testing.assert_array_equal(reference, packed)
@@ -285,11 +285,17 @@ class TestDynamicTimingKernel:
     @given(netlist=random_netlists(), batch=st.integers(1, 130),
            seed=st.integers(0, 2**32 - 1))
     def test_fused_dta_matches_reference(self, netlist, batch, seed):
+        """The streaming engine (every net retained) and the dense
+        oracle engine both reproduce the per-net reference walk."""
         library = default_library()
         before = _random_feed(netlist, batch, seed)
         after = _random_feed(netlist, batch, seed + 1)
         ref_arrivals, ref_toggled = dynamic_arrival_times_reference(
             netlist, library, before, after)
+        nets = np.arange(ref_arrivals.shape[0], dtype=np.int64)
+        np.testing.assert_array_equal(
+            ref_arrivals,
+            dynamic_bus_arrivals(netlist, library, before, after, nets))
         arrivals, toggled = dynamic_arrival_times(
             netlist, library, before, after)
         np.testing.assert_array_equal(ref_toggled, toggled)
@@ -308,20 +314,19 @@ class TestDynamicTimingKernel:
         packed = mac.multiplier.packed()
         ref_arrivals, __ = dynamic_arrival_times_reference(
             packed, library, before, after)
+        nets = np.arange(len(packed), dtype=np.int64)
         buf = np.full((len(packed), n), np.nan)  # poisoned
-        arrivals, __ = dynamic_arrival_times(
-            packed, library, before, after, out=buf)
-        assert arrivals is buf
+        arrivals = dynamic_bus_arrivals(packed, library, before, after,
+                                        nets, arrivals_out=buf)
         np.testing.assert_array_equal(ref_arrivals, arrivals)
 
     def test_out_buffer_validated(self):
         mac = build_mac_unit()
-        library = default_library()
         feed = bus_inputs("act", np.array([1]), 8)
         feed.update(bus_inputs("w", np.array([2]), 8))
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            dynamic_arrival_times(mac.multiplier, library, feed, feed,
-                                  out=np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            evaluate_words(mac.multiplier, feed,
+                           words_out=np.zeros((3, 1), dtype=np.uint64))
 
     def test_profiler_chunking_reuses_buffer_bit_for_bit(self):
         """Chunked profiling (buffer reuse + tail chunk) is exact."""
@@ -353,18 +358,15 @@ class TestDynamicTimingKernel:
 
 
 class TestStaticTimingEquivalence:
-    """The levelized static-timing passes must be bit-for-bit equal to
-    the per-net reference walks on every netlist — that equivalence is
+    """The level-by-level static-timing passes must be bit-for-bit
+    equal to the per-net reference walks on every netlist — that equivalence is
     what let them land with zero golden regeneration and zero stage
     version bumps."""
 
     @settings(max_examples=60, deadline=None)
     @given(netlist=random_netlists())
     def test_static_arrival_times_bit_identical(self, netlist):
-        from repro.sim.static_timing import (
-            static_arrival_times,
-            static_arrival_times_reference,
-        )
+        from repro.sim.static_timing import static_arrival_times
 
         library = default_library()
         np.testing.assert_array_equal(
@@ -376,10 +378,7 @@ class TestStaticTimingEquivalence:
     def test_time_to_outputs_bit_identical(self, netlist):
         """Includes the -inf (output-unreachable) nets the random DAGs
         produce in abundance."""
-        from repro.sim.static_timing import (
-            time_to_outputs,
-            time_to_outputs_reference,
-        )
+        from repro.sim.static_timing import time_to_outputs
 
         library = default_library()
         reference = time_to_outputs_reference(netlist, library)
@@ -390,9 +389,7 @@ class TestStaticTimingEquivalence:
     def test_mac_blocks_bit_identical(self, block):
         from repro.sim.static_timing import (
             static_arrival_times,
-            static_arrival_times_reference,
             time_to_outputs,
-            time_to_outputs_reference,
         )
 
         netlist = getattr(build_mac_unit(), block)
