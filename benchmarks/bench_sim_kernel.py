@@ -11,7 +11,12 @@ default MAC unit:
   multiplier with a frozen weight (the Sec. III-B per-weight dynamic
   timing analysis inner loop): the per-net reference walk vs the
   streaming ``dynamic_bus_arrivals`` with the profiler's reused
-  scratch buffers;
+  scratch buffers.  The streaming DTA propagates only the call's live
+  nets (switching gates that reach the product bus), and the record
+  gives their count.  A second stimulus draws a random weight per
+  sample, so nearly every net switches and only the product bus's
+  fanin cone prunes: it shows the kernel does not slow down when
+  little can be skipped;
 * **characterization-table-shaped** — the full 255-weight power table,
   frozen pre-batching per-weight loop vs the one-launch weight-batched
   path (the per-weight loop over the current sampler is timed too),
@@ -29,8 +34,8 @@ Usage::
 
 Floors, asserted in both modes (``--quick`` only shrinks the batches
 for CI smoke): the kernel beats the reference by >= 5x on the power
-shape and >= 3x on the DTA shape, and the one-launch power table beats
-the frozen pre-batching loop by >= 3x.
+shape and >= 3x on both DTA stimuli, and the one-launch power table
+beats the frozen pre-batching loop by >= 3x.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from repro.power.characterization import (  # noqa: E402
 from repro.power.transitions import TransitionDistribution  # noqa: E402
 from repro.sim.dynamic_timing import (  # noqa: E402
     STREAM_WINDOW_SAMPLES,
+    _live_plan,
     dynamic_bus_arrivals,
 )
 from repro.sim.logic import (  # noqa: E402
@@ -140,10 +146,23 @@ def bench_power_shape(mac, n_samples: int, repeats: int) -> dict:
     }
 
 
-def bench_dta_shape(mac, library, n_transitions: int,
-                    repeats: int) -> dict:
+def _live_net_count(packed, before, after, nets) -> int:
+    """Nets the streaming DTA propagates for this stimulus."""
+    stacked = {name: np.concatenate([before[name], after[name]])
+               for name in before}
+    before_words, after_words = evaluate_words(
+        packed, stacked, pair_halves=True).halves()
+    rows, __, __ = _live_plan(
+        packed, (before_words ^ after_words).any(axis=1), nets)
+    return int(rows.size)
+
+
+def bench_dta_shape(mac, library, n_transitions: int, repeats: int,
+                    random_weights: bool = False) -> dict:
     """Product-bus arrival times: reference walk vs streaming DTA.
 
+    The weight is frozen at -105, as in per-weight timing
+    characterization, or drawn per sample with ``random_weights``.
     The streaming side reuses one word matrix and one arrival slab
     across calls, exactly as
     :class:`~repro.timing.profile.WeightDelayProfiler` does across its
@@ -152,7 +171,9 @@ def bench_dta_shape(mac, library, n_transitions: int,
     packed = mac.multiplier.packed()
     packed.program
     rng = np.random.default_rng(1)
-    weight_bus = bus_inputs("w", np.full(n_transitions, -105), 8)
+    weights = rng.integers(-128, 128, n_transitions) if random_weights \
+        else np.full(n_transitions, -105)
+    weight_bus = bus_inputs("w", weights, 8)
     before = bus_inputs("act", rng.integers(-128, 128, n_transitions), 8)
     before.update(weight_bus)
     after = bus_inputs("act", rng.integers(-128, 128, n_transitions), 8)
@@ -180,6 +201,9 @@ def bench_dta_shape(mac, library, n_transitions: int,
     kernel_s = _best_of(kernel, repeats)
     return {
         "n_transitions": n_transitions,
+        "weights": "random per sample" if random_weights else -105,
+        "n_nets": len(packed),
+        "live_nets": _live_net_count(packed, before, after, nets),
         "reference_s": reference_s,
         "kernel_s": kernel_s,
         "kernel_transitions_per_s": n_transitions / kernel_s,
@@ -298,10 +322,15 @@ def run(quick: bool, json_path: Path, repeats: int,
           f"({power['speedup']:.1f}x)")
 
     dta = bench_dta_shape(mac, library, n_dta, repeats)
-    print(f"DTA-shaped   ({n_dta} transitions):   "
-          f"reference {dta['reference_s'] * 1e3:8.1f} ms | "
-          f"streaming {dta['kernel_s'] * 1e3:7.1f} ms "
-          f"({dta['speedup']:.1f}x)")
+    dta_random = bench_dta_shape(mac, library, n_dta, repeats,
+                                 random_weights=True)
+    for label, shape in (("weight -105", dta),
+                         ("random weights", dta_random)):
+        print(f"DTA-shaped   ({n_dta} transitions, {label}): "
+              f"reference {shape['reference_s'] * 1e3:8.1f} ms | "
+              f"streaming {shape['kernel_s'] * 1e3:7.1f} ms "
+              f"({shape['speedup']:.1f}x; {shape['live_nets']} of "
+              f"{shape['n_nets']} nets live)")
 
     char = bench_char_table(n_char, n_char_transitions, repeats)
     char_power = char["power"]
@@ -339,6 +368,7 @@ def run(quick: bool, json_path: Path, repeats: int,
         "program": {"mac_full": full_stats, "multiplier": mult_stats},
         "power_characterization_shape": power,
         "dta_shape": dta,
+        "dta_shape_random_weights": dta_random,
         "floors": {"power_speedup": POWER_SPEEDUP_FLOOR,
                    "dta_speedup": DTA_SPEEDUP_FLOOR},
     }
@@ -350,10 +380,12 @@ def run(quick: bool, json_path: Path, repeats: int,
         failures.append(
             f"power-shape speedup {power['speedup']:.2f}x below the "
             f"{POWER_SPEEDUP_FLOOR:g}x floor")
-    if dta["speedup"] < DTA_SPEEDUP_FLOOR:
-        failures.append(
-            f"DTA-shape speedup {dta['speedup']:.2f}x below the "
-            f"{DTA_SPEEDUP_FLOOR:g}x floor")
+    for label, shape in (("DTA-shape", dta),
+                         ("random-weight DTA-shape", dta_random)):
+        if shape["speedup"] < DTA_SPEEDUP_FLOOR:
+            failures.append(
+                f"{label} speedup {shape['speedup']:.2f}x below the "
+                f"{DTA_SPEEDUP_FLOOR:g}x floor")
     if char_power["speedup_one_launch"] < CHAR_SPEEDUP_FLOOR:
         failures.append(
             f"one-launch characterization speedup "

@@ -15,17 +15,26 @@ leans on the same kernel machinery as :mod:`repro.sim.logic`:
   pass over the netlist (half the passes of the naive two-evaluation
   approach), and the toggle matrix falls out of a word-wise XOR of the
   two halves;
+* only **live** nets are propagated: gates that switch at least once
+  in the call and feed a requested net through other such gates.  With
+  the weight bus frozen, as in per-weight timing characterization,
+  about half of the multiplier's nets never switch (weight 0 leaves
+  all but a handful still), and some never reach the product bus;
 * arrival times cannot be bit-packed (they are floats), but the per-net
   + per-fanin Python loops fuse into per-level vectorized max-reductions
-  over the :class:`~repro.netlist.gates.LevelSchedule` — ~depth x
-  gate-type batched ops instead of ~N x fanin Python iterations;
-* the batch streams through a reused ``(nets, window)`` slab and only
+  over the live gates, grouped by level and live-fanin count — a
+  plan built once per call from the
+  :class:`~repro.netlist.gates.LevelSchedule`;
+* the batch streams through a compact ``(live_nets, window)`` slab (a
+  prefix of the caller's reusable ``(nets, window)`` buffer) and only
   the requested rows (the product bus, in the hot path) are kept, so
   the dense per-net arrival matrix is never built.
 
 The result is bit-for-bit identical to the per-net reference walk in
-``tests/oracles/sim.py``: float max is exact and associative, and the
-adds happen in the same order per net.
+``tests/oracles/sim.py``: float max is exact and associative, a net
+that is not live has arrival exactly 0 wherever it is read (and
+arrivals are >= 0, so leaving it out of a max changes nothing), and
+the adds happen in the same order per net.
 """
 
 from __future__ import annotations
@@ -71,31 +80,62 @@ def _stacked_inputs(packed: PackedNetlist,
     return stacked, batch
 
 
-def _propagate_window(packed: PackedNetlist, delays: np.ndarray,
-                      arrivals: np.ndarray,
-                      toggled: np.ndarray) -> None:
-    """One level-by-level arrival propagation over a sample window.
+def _live_plan(packed: PackedNetlist, switching: np.ndarray,
+               nets: np.ndarray) -> Tuple[np.ndarray, np.ndarray, list]:
+    """Compact propagation plan over the nets that can carry an event.
 
-    Sample columns are independent, so windowing the batch cannot
-    perturb any value.
+    A net is *live* when it is a gate, switches at least once in the
+    call, and reaches a requested net through live gates only.  Every
+    other net has arrival exactly 0 wherever a live gate reads it: a
+    source carries no delay and a gate that never switches has no
+    event.  Arrivals are >= 0, so dropping such a fanin from a max is
+    bit-exact, and a gate whose fanins are all dropped arrives at
+    ``delay * toggled``.
+
+    Returns:
+        ``(rows, row_of, steps)``.  ``rows`` lists the live nets in slab
+        order (level-major, so every row is written before a later row
+        reads it) and ``row_of`` maps a net to its slab row (-1 when not
+        live).  Each step ``(start, stop, fanins)`` computes slab rows
+        ``start:stop`` from the slab rows in ``fanins`` (0 to 3 index
+        arrays, one per live fanin slot).
     """
-    for group in packed.schedule.fanin_groups:
-        # Latest switching-fanin arrival, fused across the whole group:
-        # gather each fanin's arrival rows and max-reduce in place.
-        latest = arrivals[group.f0]
-        if group.n_fanins >= 2:
-            np.maximum(latest, arrivals[group.f1], out=latest)
-        if group.n_fanins >= 3:
-            np.maximum(latest, arrivals[group.f2], out=latest)
-        latest += delays[group.dst][:, None]
-        # Only nets that actually switch carry an event; their event
-        # lags the latest switching fanin by the gate delay.  The
-        # boolean mask-multiply is bit-identical to
-        # ``np.where(toggled, latest, 0.0)`` — arrivals are finite and
-        # non-negative, so ``x * True == x`` and ``x * False == 0.0``
-        # exactly — and avoids np.where's much slower select pass.
-        latest *= toggled[group.dst]
-        arrivals[group.dst] = latest
+    schedule = packed.schedule
+    switching = switching & (schedule.levels > 0)
+    # Backward closure from the requested nets through switching gates.
+    # The trailing False entry answers the -1 of an unused fanin slot.
+    live = np.zeros(len(packed) + 1, dtype=bool)
+    live[nets] = switching[nets]
+    for group in reversed(schedule.fanin_groups):
+        sel = live[group.dst]
+        if sel.any():
+            picked = np.concatenate([
+                fanin[sel] for fanin in
+                (group.f0, group.f1, group.f2)[:group.n_fanins]])
+            live[picked] = switching[picked]
+
+    gates = np.flatnonzero(live[:-1])
+    fanins = np.stack([packed.fanin0[gates], packed.fanin1[gates],
+                       packed.fanin2[gates]], axis=1)
+    fanin_live = live[fanins]
+    counts = fanin_live.sum(axis=1)
+    # Slab order: level-major, then live-fanin count, so each step is
+    # one contiguous run of rows that reads only earlier levels.
+    key = schedule.levels[gates].astype(np.int64) * 4 + counts
+    order = np.argsort(key, kind="stable")
+    rows, key, counts = gates[order], key[order], counts[order]
+    row_of = np.full(len(packed) + 1, -1, dtype=np.int64)
+    row_of[rows] = np.arange(rows.size)
+    # Each gate's live fanins move to the front, in slot order.
+    slots = np.argsort(~fanin_live[order], axis=1, kind="stable")
+    fanin_rows = np.ascontiguousarray(row_of[np.take_along_axis(
+        fanins[order], slots, axis=1)].T)
+    bounds = (np.flatnonzero(np.diff(key)) + 1).tolist()
+    steps = [(lo, hi, tuple(fanin_rows[j, lo:hi]
+                            for j in range(int(counts[lo]))))
+             for lo, hi in zip([0] + bounds, bounds + [rows.size])
+             if lo < hi]
+    return rows, row_of[:-1], steps
 
 
 def dynamic_bus_arrivals(netlist: Union[Netlist, PackedNetlist], library,
@@ -108,8 +148,8 @@ def dynamic_bus_arrivals(netlist: Union[Netlist, PackedNetlist], library,
                          ) -> np.ndarray:
     """Streaming DTA: arrival times of ``nets`` only.
 
-    Propagates arrivals level by level over ``window``-sample slabs of
-    a reused ``(all_nets, window)`` buffer and *retains* only the
+    Propagates arrivals of the call's live nets (see :func:`_live_plan`)
+    level by level over ``window``-sample slabs and *retains* only the
     requested rows (product bits / output bus) per slab, so the dense
     ``(all_nets, batch)`` arrival matrix never exists.
 
@@ -124,52 +164,73 @@ def dynamic_bus_arrivals(netlist: Union[Netlist, PackedNetlist], library,
             evaluation (see :func:`evaluate_words`).
         arrivals_out: Optional reusable C-contiguous ``float64`` buffer
             of shape ``(all_nets, min(window, batch))`` for the
-            propagation.
+            propagation; its contents need not be initialized.
 
     Returns:
         ``float64`` arrivals of shape ``(len(nets), batch)``:
         ``out[k, sample]`` is the event arrival time in ps at net
-        ``nets[k]`` (0 where that net does not switch).
+        ``nets[k]`` (0 where that net does not switch, and on rows of
+        sources).
     """
     packed = _packed(netlist)
-    stacked, batch = _stacked_inputs(packed, inputs_before, inputs_after)
-    values = evaluate_words(packed, stacked, batch=2 * batch,
-                            pair_halves=True, words_out=words_out)
-    before_words, after_words = values.halves()
-    xor_words = before_words ^ after_words
-    delays = packed.gate_delays(library)
-    nets = np.ascontiguousarray(nets, dtype=np.int64)
-    out = np.empty((nets.size, batch), dtype=np.float64)
-
     if window is None:
         window = STREAM_WINDOW_SAMPLES
     if window <= 0 or window % 64:
         raise ValueError(
             f"window must be a positive multiple of 64, got {window}")
+    stacked, batch = _stacked_inputs(packed, inputs_before, inputs_after)
     slab = min(window, batch)
-    if arrivals_out is None:
-        arrivals = np.zeros((len(packed), slab), dtype=np.float64)
-    else:
-        if arrivals_out.shape != (len(packed), slab) \
-                or arrivals_out.dtype != np.float64 \
-                or not arrivals_out.flags.c_contiguous:
-            raise ValueError(
-                f"arrivals_out must be a C-contiguous float64 array of "
-                f"shape ({len(packed)}, {slab})")
-        arrivals = arrivals_out
-        # Source rows are never scheduled; clear them once so a dirty
-        # buffer cannot leak into the propagation (gate rows are fully
-        # overwritten per slab).
-        arrivals[packed.schedule.levels == 0] = 0.0
+    if arrivals_out is not None and (
+            arrivals_out.shape != (len(packed), slab)
+            or arrivals_out.dtype != np.float64
+            or not arrivals_out.flags.c_contiguous):
+        raise ValueError(
+            f"arrivals_out must be a C-contiguous float64 array of "
+            f"shape ({len(packed)}, {slab})")
 
+    values = evaluate_words(packed, stacked, batch=2 * batch,
+                            pair_halves=True, words_out=words_out)
+    before_words, after_words = values.halves()
+    xor_words = before_words ^ after_words
+    nets = np.ascontiguousarray(nets, dtype=np.int64)
+    rows, row_of, steps = _live_plan(packed, xor_words.any(axis=1), nets)
+    live_xor = xor_words[rows]
+    delays = packed.gate_delays(library)[rows][:, None]
+    out_rows = row_of[nets]
+    kept = out_rows >= 0
+    out_rows = out_rows[kept]
+    out = np.empty((nets.size, batch), dtype=np.float64)
+    out[~kept] = 0.0
+
+    # The compact slab is a C-contiguous prefix of the caller's buffer
+    # (``len(rows) <= len(packed)``); every row is written before it is
+    # read, so a dirty buffer needs no clearing.
+    if arrivals_out is None:
+        flat = np.empty(rows.size * slab, dtype=np.float64)
+    else:
+        flat = arrivals_out.reshape(-1)
     for start in range(0, batch, window):
         stop = min(start + window, batch)
         n = stop - start
         # Window starts are word-aligned (window % 64 == 0), so the
         # toggle slab unpacks straight from the XOR word columns.
         toggled = unpack_bits(
-            xor_words[:, start // 64:(stop + 63) // 64], n)
-        slab_view = arrivals[:, :n]
-        _propagate_window(packed, delays, slab_view, toggled)
-        out[:, start:stop] = slab_view[nets]
+            live_xor[:, start // 64:(stop + 63) // 64], n)
+        arrivals = flat[:rows.size * n].reshape(rows.size, n)
+        for lo, hi, fanins in steps:
+            # Sample columns are independent, so windowing cannot
+            # perturb any value.  The boolean mask-multiply is
+            # bit-identical to ``np.where(toggled, latest, 0.0)``:
+            # arrivals are finite and non-negative, so ``x * True == x``
+            # and ``x * False == 0.0`` exactly.
+            latest = arrivals[lo:hi]
+            if not fanins:
+                np.multiply(toggled[lo:hi], delays[lo:hi], out=latest)
+                continue
+            np.take(arrivals, fanins[0], axis=0, out=latest)
+            for fanin in fanins[1:]:
+                np.maximum(latest, arrivals[fanin], out=latest)
+            latest += delays[lo:hi]
+            latest *= toggled[lo:hi]
+        out[kept, start:stop] = arrivals[out_rows]
     return out

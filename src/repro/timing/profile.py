@@ -157,12 +157,14 @@ class WeightDelayProfiler:
         self._product_nets = np.asarray(
             self._packed.netlist.output_bus("product", mac.product_bits),
             dtype=np.int64)
-        # Scratch reused across chunks and weights: the packed word
-        # matrix of the stacked value evaluation (previously
-        # reallocated per ~chunk-sized window) and the DTA arrival
-        # slab.  One allocation each instead of one per DTA
-        # call — page-faulting fresh buffers per chunk costs more than
-        # the propagation itself.  Lazily allocated, never pickled
+        # Flat scratch reused by every DTA call, sized for a full
+        # ``chunk``: the packed word matrix of the stacked value
+        # evaluation and the arrival slab.  Each call gets C-contiguous
+        # prefix views shaped for its own sample count, so short chunks
+        # (tails, or a few weights' transitions) reuse them too instead
+        # of page-faulting a fresh ~10 MB slab per call.  The DTA slab
+        # holds only the call's live nets, a prefix of the
+        # ``(nets, window)`` buffer.  Lazily allocated, never pickled
         # (see __getstate__).
         self._words_buf: Optional[np.ndarray] = None
         self._arrivals_buf: Optional[np.ndarray] = None
@@ -235,22 +237,19 @@ class WeightDelayProfiler:
 
     def _delays_chunk(self, weight_bus, act_from: np.ndarray,
                       act_to: np.ndarray) -> np.ndarray:
-        # Full-width chunks reuse the preallocated scratch; tail chunks
-        # (different shapes) run bufferless rather than reallocating.
-        words_out = None
-        arrivals_out = None
-        if act_from.size == self.chunk:
-            if self._words_buf is None:
-                n_words = 2 * ((self.chunk + 63) // 64)
-                self._words_buf = np.zeros(
-                    (len(self._packed), n_words), dtype=WORD_DTYPE)
-            if self._arrivals_buf is None:
-                self._arrivals_buf = np.zeros(
-                    (len(self._packed),
-                     min(STREAM_WINDOW_SAMPLES, self.chunk)),
-                    dtype=np.float64)
-            words_out = self._words_buf
-            arrivals_out = self._arrivals_buf
+        n_nets = len(self._packed)
+        if self._words_buf is None:
+            self._words_buf = np.empty(
+                n_nets * 2 * ((self.chunk + 63) // 64), dtype=WORD_DTYPE)
+            self._arrivals_buf = np.empty(
+                n_nets * min(STREAM_WINDOW_SAMPLES, self.chunk),
+                dtype=np.float64)
+        n_words = 2 * ((act_from.size + 63) // 64)
+        slab = min(STREAM_WINDOW_SAMPLES, act_from.size)
+        words_out = self._words_buf[:n_nets * n_words].reshape(
+            n_nets, n_words)
+        arrivals_out = self._arrivals_buf[:n_nets * slab].reshape(
+            n_nets, slab)
         feed_before = bus_inputs("act", act_from, self.mac.act_bits)
         feed_before.update(weight_bus)
         feed_after = bus_inputs("act", act_to, self.mac.act_bits)
@@ -310,10 +309,11 @@ def _weight_transitions(profiler: WeightDelayProfiler, weight: int,
 
 
 #: Preferred flat-stream window (samples) for automatic timing-batch
-#: sizing.  Bigger windows amortize the per-launch DTA dispatch, but
-#: once the ``(nets, window)`` arrival matrix outgrows cache every
-#: propagation level streams from DRAM — measured on the smoke
-#: multiplier, windows around this size beat full ``chunk``-sized ones.
+#: sizing.  Bigger groups amortize the per-launch DTA dispatch and
+#: plan, but the DTA propagates the *union* of the group's switching
+#: nets, which grows with every weight added.  On the smoke timing
+#: table (17 weights x 2000 transitions, 2-core x86_64) targets of
+#: 2048 / 4096 / 8192 samples took 81 / 63 / 72 ms (best of 12).
 _BATCH_TARGET_SAMPLES = 4096
 
 
@@ -537,25 +537,33 @@ class WeightTimingTable:
             time_scale = calibrate_to_ps / max_delays.max()
         max_delays *= time_scale
 
-        combo_w: List[np.ndarray] = []
-        combo_f: List[np.ndarray] = []
-        combo_t: List[np.ndarray] = []
-        combo_d: List[np.ndarray] = []
-        for weight, a_from, a_to, delays in slow:
+        # Count every weight's slow combos first, then fill
+        # preallocated arrays: the combos are most of the transitions
+        # at full scale, and list-then-concatenate held them twice.
+        counts = [int(np.count_nonzero(delays * time_scale > floor_ps))
+                  for __, __, __, delays in slow]
+        total = sum(counts)
+        combo_w = np.empty(total, dtype=np.int64)
+        combo_f = np.empty(total, dtype=np.int64)
+        combo_t = np.empty(total, dtype=np.int64)
+        combo_d = np.empty(total, dtype=np.float64)
+        stop = 0
+        for (weight, a_from, a_to, delays), count in zip(slow, counts):
+            start, stop = stop, stop + count
             scaled = delays * time_scale
             mask = scaled > floor_ps
-            combo_w.append(np.full(int(mask.sum()), weight, dtype=np.int64))
-            combo_f.append(a_from[mask].astype(np.int64))
-            combo_t.append(a_to[mask].astype(np.int64))
-            combo_d.append(scaled[mask])
+            combo_w[start:stop] = weight
+            combo_f[start:stop] = a_from[mask]
+            combo_t[start:stop] = a_to[mask]
+            combo_d[start:stop] = scaled[mask]
 
         return cls(
             weights=weights,
             max_delay_ps=max_delays,
-            combo_weight=np.concatenate(combo_w),
-            combo_act_from=np.concatenate(combo_f),
-            combo_act_to=np.concatenate(combo_t),
-            combo_delay_ps=np.concatenate(combo_d),
+            combo_weight=combo_w,
+            combo_act_from=combo_f,
+            combo_act_to=combo_t,
+            combo_delay_ps=combo_d,
             floor_ps=floor_ps,
             time_scale=time_scale,
             psum_path_ps=profiler.model.psum_path_ps * time_scale,

@@ -2,8 +2,11 @@
 
 Each oracle is the plain, slow formulation of something ``src/repro``
 computes with a fast kernel: per-gate and per-net walks for logic
-evaluation and timing (:mod:`oracles.sim`) and the per-weight power
-characterization loop (:mod:`oracles.characterization`).  The
-equivalence suites and ``benchmarks/bench_sim_kernel.py`` assert the
-production paths reproduce them bit for bit.
+evaluation and timing (:mod:`oracles.sim`), the per-weight power
+characterization loop (:mod:`oracles.characterization`) and the
+per-tile systolic array power model (:mod:`oracles.systolic`).  The
+equivalence suites, ``benchmarks/bench_sim_kernel.py`` and
+``benchmarks/bench_accel.py`` assert the production paths reproduce
+them (bit for bit, or to float rounding where the summation order
+differs).
 """

@@ -1,0 +1,128 @@
+"""Per-tile formulations of the systolic array power model.
+
+:meth:`repro.systolic.energy.ArrayPowerModel.layer_power` reduces a
+whole schedule with one ``np.bincount``.  These are the plain versions
+it is checked against:
+
+* :func:`schedule_value_counts_loop` accumulates one integer bincount
+  per tile — the counts are exact integers, so they must equal
+  :func:`~repro.systolic.energy.schedule_value_counts` bit for bit, and
+  :func:`layer_power_loop` must equal ``layer_power`` exactly;
+* :func:`layer_power_reference` is the original per-tile model (per-PE
+  LUT gathers, per-tile gating), which sums in a different association
+  order and so agrees only to float rounding.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from repro.power.estimator import PowerBreakdown
+from repro.systolic.config import HardwareVariant
+from repro.systolic.energy import ArrayPowerModel, ScheduleCounts
+from repro.systolic.mapping import Tile, TileSchedule
+
+_WEIGHT_OFFSET = -(1 << 7)
+_LUT_SIZE = 1 << 8
+
+
+def schedule_value_counts_loop(schedule: TileSchedule,
+                               weights: np.ndarray) -> ScheduleCounts:
+    """Cycle-weighted occupancy counts, tile by tile."""
+    weights = np.asarray(weights, dtype=np.int64)
+    config = schedule.config
+    acc = np.zeros(_LUT_SIZE, dtype=np.int64)
+    tile_pe = idle_row = unused_col = total = 0
+    for tile in schedule.tiles:
+        cycles = tile.cycles()
+        tile_index = weights[tile.row_start:tile.row_stop,
+                             tile.col_start:tile.col_stop] - _WEIGHT_OFFSET
+        acc += cycles * np.bincount(tile_index.ravel(),
+                                    minlength=_LUT_SIZE)
+        tile_pe += cycles * tile.rows_used * tile.cols_used
+        idle_row += cycles * (config.rows - tile.rows_used) \
+            * tile.cols_used
+        unused_col += cycles * (config.cols - tile.cols_used) \
+            * config.rows
+        total += cycles
+    return ScheduleCounts(weight_counts=acc.astype(np.float64),
+                          tile_pe_cycles=tile_pe,
+                          idle_row_pe_cycles=idle_row,
+                          unused_col_pe_cycles=unused_col,
+                          total_cycles=total)
+
+
+def layer_power_loop(model: ArrayPowerModel, schedule: TileSchedule,
+                     weights: np.ndarray, variant: HardwareVariant,
+                     vdd: Optional[float] = None) -> PowerBreakdown:
+    """``layer_power`` over the per-tile counts (bit-identical)."""
+    return model._power_from_counts(
+        schedule_value_counts_loop(schedule, weights), variant, vdd)
+
+
+def tile_power(model: ArrayPowerModel, tile: Tile,
+               tile_weights: np.ndarray,
+               variant: HardwareVariant) -> PowerBreakdown:
+    """Average power while one tile is streaming, at nominal voltage."""
+    tile_weights = np.asarray(tile_weights, dtype=np.int64)
+    config, params = model.config, model.params
+
+    flat = tile_weights.ravel()
+    per_pe_dynamic = model._dynamic_lut[flat - _WEIGHT_OFFSET]
+    if variant.clock_gate_zero_weight:
+        ungated = flat != 0  # gated PEs burn neither data nor clock
+        active_dynamic = float(per_pe_dynamic[ungated].sum())
+        clocked_pes = int(ungated.sum())
+    else:
+        active_dynamic = float(per_pe_dynamic.sum())
+        clocked_pes = flat.size
+
+    used_cols = tile.cols_used
+    idle_rows_pes = (config.rows - tile.rows_used) * used_cols
+    unused_col_pes = (config.cols - used_cols) * config.rows
+
+    # Idle PEs (rows beyond the tile, or whole unused columns) carry no
+    # data activity; whether they still burn clock power depends on the
+    # gating features.
+    if not variant.clock_gate_zero_weight:
+        clocked_pes += idle_rows_pes
+    if variant.power_gate_unused_columns:
+        leaking_pes = config.n_pes - unused_col_pes
+    else:
+        if not variant.clock_gate_zero_weight:
+            clocked_pes += unused_col_pes
+        leaking_pes = config.n_pes
+
+    dynamic = active_dynamic + clocked_pes * params.clock_power_uw
+    leakage = leaking_pes * params.leakage_uw
+    return PowerBreakdown(dynamic_uw=dynamic, leakage_uw=leakage)
+
+
+def layer_power_reference(model: ArrayPowerModel, schedule: TileSchedule,
+                          weights: np.ndarray, variant: HardwareVariant,
+                          vdd: Optional[float] = None) -> PowerBreakdown:
+    """The original per-tile layer power (agrees to float rounding)."""
+    weights = np.asarray(weights, dtype=np.int64)
+    energy_dyn = 0.0
+    energy_leak = 0.0
+    total_cycles = 0
+    for tile in schedule:
+        tile_w = weights[tile.row_start:tile.row_stop,
+                         tile.col_start:tile.col_stop]
+        power = tile_power(model, tile, tile_w, variant)
+        cycles = tile.cycles()
+        energy_dyn += power.dynamic_uw * cycles
+        energy_leak += power.leakage_uw * cycles
+        total_cycles += cycles
+    breakdown = PowerBreakdown(
+        dynamic_uw=energy_dyn / total_cycles,
+        leakage_uw=energy_leak / total_cycles,
+    )
+    if vdd is not None:
+        breakdown = breakdown.scaled(
+            model.voltage_model.dynamic_power_scale(vdd),
+            model.voltage_model.leakage_power_scale(vdd),
+        )
+    return breakdown

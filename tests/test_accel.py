@@ -39,6 +39,12 @@ from repro.systolic import (
     schedule_value_counts,
 )
 
+from oracles.systolic import (
+    layer_power_loop,
+    layer_power_reference,
+    schedule_value_counts_loop,
+)
+
 #: Every stage of the training/characterization prefix plus the
 #: selection tail — nothing here may depend on the accel spec.
 NON_ACCEL_STAGES = (
@@ -186,10 +192,8 @@ class TestVectorizedLayerPower:
         rng = np.random.default_rng(seed)
         weights = rng.integers(-127, 128, (k, n))
         weights[rng.random(weights.shape) < sparsity] = 0
-        fast = schedule_value_counts(schedule, weights,
-                                     vectorized=True)
-        slow = schedule_value_counts(schedule, weights,
-                                     vectorized=False)
+        fast = schedule_value_counts(schedule, weights)
+        slow = schedule_value_counts_loop(schedule, weights)
         assert np.array_equal(fast.weight_counts, slow.weight_counts)
         assert fast.tile_pe_cycles == slow.tile_pe_cycles
         assert fast.idle_row_pe_cycles == slow.idle_row_pe_cycles
@@ -198,8 +202,7 @@ class TestVectorizedLayerPower:
         model = _model(config)
         for variant in (STANDARD_HW, OPTIMIZED_HW):
             assert model.layer_power(schedule, weights, variant) \
-                == model.layer_power(schedule, weights, variant,
-                                     vectorized=False)
+                == layer_power_loop(model, schedule, weights, variant)
 
     @settings(max_examples=25, deadline=None)
     @given(dims=_DIMS, size=_GRID, seed=st.integers(0, 2 ** 31 - 1))
@@ -212,8 +215,8 @@ class TestVectorizedLayerPower:
         model = _model(config)
         for variant in (STANDARD_HW, OPTIMIZED_HW):
             got = model.layer_power(schedule, weights, variant)
-            want = model.layer_power_reference(schedule, weights,
-                                               variant)
+            want = layer_power_reference(model, schedule, weights,
+                                         variant)
             assert np.isclose(got.dynamic_uw, want.dynamic_uw,
                               rtol=1e-9)
             assert np.isclose(got.leakage_uw, want.leakage_uw,

@@ -8,6 +8,7 @@ reference DTA.  That equivalence is what lets the pipeline run the
 kernel with zero golden-file regeneration and zero stage-version bumps.
 """
 
+import functools
 import pickle
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cells import default_library
 from repro.netlist import NetlistBuilder, build_mac_unit
 from repro.netlist.gates import GateType, SOURCE_TYPES
-from repro.sim.dynamic_timing import dynamic_bus_arrivals
+from repro.sim.dynamic_timing import _live_plan, dynamic_bus_arrivals
 from repro.sim.logic import (
     WORD_BITS,
     bus_inputs,
@@ -339,3 +340,152 @@ class TestStreamingDTA:
         np.testing.assert_array_equal(
             profiler.delays(-105, act_from, act_to),
             profiler.model.compose(ref_arrivals[nets]))
+
+
+@functools.lru_cache(maxsize=None)
+def _multiplier():
+    """The default MAC's multiplier and its product-bus nets."""
+    mac = build_mac_unit()
+    packed = mac.multiplier.packed()
+    product = np.asarray(
+        mac.multiplier.output_bus("product", mac.product_bits),
+        dtype=np.int64)
+    return packed, product
+
+
+def _frozen_weight_transition(weights, seed):
+    """Activation transitions under a per-sample frozen weight bus."""
+    rng = np.random.default_rng(seed)
+    weight_bus = bus_inputs("w", np.asarray(weights), 8)
+    before = bus_inputs("act", rng.integers(-128, 128, len(weights)), 8)
+    before.update(weight_bus)
+    after = bus_inputs("act", rng.integers(-128, 128, len(weights)), 8)
+    after.update(weight_bus)
+    return before, after
+
+
+def _requested_nets(packed, product, kind):
+    if kind == "product":
+        return product
+    if kind == "all":
+        return np.arange(len(packed), dtype=np.int64)
+    # Product bits mixed with primary inputs of both buses and the
+    # first gates, in a scrambled order with a repeat.
+    names = packed.netlist.input_names
+    inputs = [names["act[0]"], names["w[7]"], names["act[5]"]]
+    first_gates = np.flatnonzero(packed.schedule.levels == 1)[:3]
+    return np.concatenate([product[::-3], inputs, first_gates,
+                           product[:2]]).astype(np.int64)
+
+
+#: Frozen weight values, with weight 0 (whose product never switches)
+#: drawn often.
+_WEIGHT_VALUES = st.integers(-128, 127) | st.just(0)
+
+
+class TestLiveNetDTA:
+    """The streaming DTA propagates only the call's live nets; every
+    requested row still matches the per-net reference walk."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(first=_WEIGHT_VALUES, second=_WEIGHT_VALUES,
+           batch=st.integers(1, 300),
+           split=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+           window=st.sampled_from((64, 128, 2048)),
+           kind=st.sampled_from(("product", "all", "mixed")))
+    def test_frozen_weights_match_reference(self, first, second, batch,
+                                            split, seed, window, kind):
+        """One weight or a chunk mixing two, any window tail, and
+        requested nets that include sources and silent nets."""
+        library = default_library()
+        packed, product = _multiplier()
+        n_first = int(round(split * batch))
+        weights = [first] * n_first + [second] * (batch - n_first)
+        before, after = _frozen_weight_transition(weights, seed)
+        nets = _requested_nets(packed, product, kind)
+        ref_arrivals, ref_toggled = dynamic_arrival_times_reference(
+            packed, library, before, after)
+        got = dynamic_bus_arrivals(packed, library, before, after, nets,
+                                   window=window)
+        np.testing.assert_array_equal(got, ref_arrivals[nets])
+        silent = ~ref_toggled[nets].any(axis=1) \
+            | (packed.schedule.levels[nets] == 0)
+        assert not got[silent].any()
+
+    def test_weight_zero_keeps_the_product_bus_silent(self):
+        library = default_library()
+        packed, product = _multiplier()
+        before, after = _frozen_weight_transition([0] * 200, seed=4)
+        got = dynamic_bus_arrivals(packed, library, before, after,
+                                   product)
+        assert got.shape == (product.size, 200)
+        assert not got.any()
+
+    def test_plan_skips_silent_and_unobserved_nets(self):
+        """A frozen weight leaves much of the multiplier still; the
+        plan must drop those nets (the point of the live-net DTA)."""
+        packed, product = _multiplier()
+        sizes = {}
+        for weight in (0, -105, 127):
+            before, after = _frozen_weight_transition([weight] * 512, 9)
+            stacked = {name: np.concatenate([before[name], after[name]])
+                       for name in before}
+            values = evaluate_words(packed, stacked, batch=1024,
+                                    pair_halves=True)
+            b_words, a_words = values.halves()
+            switching = (b_words ^ a_words).any(axis=1)
+            rows, row_of, steps = _live_plan(packed, switching, product)
+            assert set(rows.tolist()) <= set(
+                np.flatnonzero(switching).tolist())
+            assert np.array_equal(row_of[rows], np.arange(rows.size))
+            assert sum(hi - lo for lo, hi, __ in steps) == rows.size
+            for lo, __, fanins in steps:
+                # Every row is written before a later step reads it.
+                assert all((fanin < lo).all() for fanin in fanins)
+            sizes[weight] = rows.size
+        assert sizes[0] < 20
+        assert max(sizes.values()) < 0.8 * len(packed)
+
+    def test_poisoned_buffer_reused_across_live_sets(self):
+        """One NaN-poisoned slab serves calls whose live sets differ;
+        no stale row of an earlier call can leak into a later one."""
+        library = default_library()
+        packed, product = _multiplier()
+        nets = _requested_nets(packed, product, "mixed")
+        buf = np.full((len(packed), 128), np.nan)
+        words = np.full((len(packed), 2 * 3), ~np.uint64(0))
+        for k, weights in enumerate(([127] * 190, [0] * 190,
+                                     [-105] * 95 + [1] * 95, [-1] * 190)):
+            before, after = _frozen_weight_transition(weights, seed=k)
+            ref_arrivals, __ = dynamic_arrival_times_reference(
+                packed, library, before, after)
+            got = dynamic_bus_arrivals(packed, library, before, after,
+                                       nets, window=128, words_out=words,
+                                       arrivals_out=buf)
+            np.testing.assert_array_equal(got, ref_arrivals[nets])
+
+    @settings(max_examples=40, deadline=None)
+    @given(netlist=random_netlists(), batch=st.integers(1, 130),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_random_netlists_with_held_inputs(self, netlist, batch, seed,
+                                              data):
+        """Inputs held constant across the transition silence whole
+        cones; every net still matches the reference."""
+        library = default_library()
+        before = _random_feed(netlist, batch, seed)
+        after = _random_feed(netlist, batch, seed + 1)
+        for name in netlist.input_names:
+            if data.draw(st.booleans(), label=f"hold {name}"):
+                after[name] = before[name]
+        ref_arrivals, __ = dynamic_arrival_times_reference(
+            netlist, library, before, after)
+        nets = np.arange(ref_arrivals.shape[0], dtype=np.int64)
+        np.testing.assert_array_equal(
+            ref_arrivals,
+            dynamic_bus_arrivals(netlist, library, before, after, nets))
+        outputs = np.asarray(list(netlist.output_names.values()),
+                             dtype=np.int64)
+        np.testing.assert_array_equal(
+            ref_arrivals[outputs],
+            dynamic_bus_arrivals(netlist, library, before, after,
+                                 outputs, window=64))

@@ -343,6 +343,44 @@ class TestDynamicTimingKernel:
             chunked.delays(-105, act_from, act_to),
             whole.delays(-105, act_from, act_to))
 
+    def test_profiler_reuses_one_buffer_at_8000_transitions(
+            self, monkeypatch):
+        """Chunks shorter than ``chunk`` (8000 of 8192, and a
+        two-weight group) get prefix views of the same scratch, and
+        the delays equal a bufferless run bit for bit."""
+        from repro.timing import profile
+
+        mac = build_mac_unit()
+        library = default_library()
+        profiler = profile.WeightDelayProfiler(mac, library)
+        real = profile.dynamic_bus_arrivals
+        handed = []
+
+        def spy(*args, **kwargs):
+            handed.append((kwargs["words_out"], kwargs["arrivals_out"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(profile, "dynamic_bus_arrivals", spy)
+        rng = np.random.default_rng(11)
+        nets = mac.multiplier.output_bus("product", mac.product_bits)
+        runs = [np.full(8000, w) for w in (-105, 0, 64)]
+        runs.append(np.repeat([3, -77], 2000))
+        for weights in runs:
+            act_from = rng.integers(-128, 128, weights.size)
+            act_to = rng.integers(-128, 128, weights.size)
+            got = profiler.delays_batched(weights, act_from, act_to)
+            before, after = (bus_inputs("act", acts, 8)
+                             for acts in (act_from, act_to))
+            for feed in (before, after):
+                feed.update(bus_inputs("w", weights, 8))
+            want = profiler.model.compose(real(
+                mac.multiplier, library, before, after, nets))
+            np.testing.assert_array_equal(got, want)
+        assert len(handed) == len(runs)
+        for words, arrivals in handed:
+            assert np.shares_memory(words, profiler._words_buf)
+            assert np.shares_memory(arrivals, profiler._arrivals_buf)
+
     def test_profiler_pickles_without_buffer(self):
         from repro.timing.profile import WeightDelayProfiler
 
